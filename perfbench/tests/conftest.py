@@ -1,0 +1,8 @@
+import sys
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parents[1]
+ROOT = BENCH.parent
+for path in (str(BENCH), str(ROOT / "src")):
+    if path not in sys.path:
+        sys.path.insert(0, path)
