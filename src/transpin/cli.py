@@ -18,10 +18,9 @@ Configuration is a single JSON object with kebab-case keys; every key has a
 matching command-line flag, and flags override the file.  Exit codes: 0
 success, 1 configuration error, 2 I/O error, 3 verification failure.
 
-Grid evaluation fans out across ``TRANSPIN_THREADS`` worker threads
-(0 or unset = automatic); rows are assembled in deterministic y-major order,
-so output bytes are identical across runs and thread counts.  Floats are
-written in Python's shortest round-trip representation.
+Spin-map rows are written in y-major order (x fastest), and floats in
+Python's shortest round-trip representation, so output bytes are identical
+across runs.
 """
 
 from __future__ import annotations
@@ -29,9 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
@@ -50,7 +47,7 @@ from .observables import (amplitude_for_quanta, guided_closed_forms,
 from .spin import analytic_spin_guided, analytic_spin_surface
 from .verify import run_checks
 
-__all__ = ["RunConfig", "SpinMapRow", "main"]
+__all__ = ["RunConfig", "main"]
 
 CSV_HEADER = "x,y,sx,sy,sz,mag"
 
@@ -73,27 +70,6 @@ _DEFAULTS: dict[str, Any] = {
     "a": 1.0, "b": 1.0, "length": 1.0,
     "eta": 1.5, "phi-deg": 60.0, "area": 1.0, "z-periods": 1.0,
 }
-
-
-@dataclass(frozen=True)
-class SpinMapRow:
-    """One exported grid sample; ``mag`` is the Euclidean norm of (sx, sy, sz)."""
-
-    x: float
-    y: float
-    sx: float
-    sy: float
-    sz: float
-    mag: float
-
-    @classmethod
-    def from_sample(cls, x: float, y: float, s: Sequence[float]) -> "SpinMapRow":
-        sx, sy, sz = (float(c) for c in s)
-        return cls(float(x), float(y), sx, sy, sz, math.hypot(sx, sy, sz))
-
-    def csv_line(self) -> str:
-        return ",".join(repr(v) for v in
-                        (self.x, self.y, self.sx, self.sy, self.sz, self.mag))
 
 
 @dataclass(frozen=True)
@@ -257,59 +233,42 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
 # spinmap
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("TRANSPIN_THREADS", "0").strip() or "0"
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ConfigurationError(
-            f"TRANSPIN_THREADS must be a non-negative integer, got {raw!r}") from exc
-    if value < 0:
-        raise ConfigurationError(
-            f"TRANSPIN_THREADS must be a non-negative integer, got {raw!r}")
-    if value == 0:
-        return min(os.cpu_count() or 1, 8)
-    return value
+def _value_fields(pair, combine: bool) -> list[str]:
+    """``sx,sy,sz,mag`` per sample; ``mag`` is the Euclidean norm."""
+    s = pair.combined() if combine else pair.total()
+    return [f"{sx!r},{sy!r},{sz!r},{math.hypot(sx, sy, sz)!r}"
+            for sx, sy, sz in s.tolist()]
 
 
 def _map_rows(config: RunConfig, spec) -> list[str]:
     nx, ny = config["nx"], config["ny"]
     combine = config["combine-spins"]
-    if isinstance(spec, GuidedModeSpec):
+    guided = isinstance(spec, GuidedModeSpec)
+    if guided:
         xs = np.linspace(0.0, spec.geometry.a, nx)
         seconds = np.linspace(0.0, spec.geometry.b, ny)
-
-        def one_row(y: float) -> list[str]:
-            pair = analytic_spin_guided(spec, (xs, np.full(nx, y)))
-            s = pair.combined() if combine else pair.total()
-            return [SpinMapRow.from_sample(xs[i], y, s[i]).csv_line()
-                    for i in range(nx)]
     else:
         x_max = (config.values["x-max-kappa"]
                  if config.was_provided("x-max-kappa") else 5.0)
-        if x_max <= 0.0:
-            raise ConfigurationError("config key 'x-max-kappa' must be > 0")
+        z_periods = config["z-periods"]
+        for key, value in (("x-max-kappa", x_max), ("z-periods", z_periods)):
+            if not (math.isfinite(value) and value > 0.0):
+                raise ConfigurationError(
+                    f"config key {key!r} must be finite and > 0, got {value!r}")
         xs = np.linspace(0.0, x_max / spec.kappa, nx)
-        z_span = config["z-periods"] * 2.0 * math.pi / abs(spec.k_z)
+        z_span = z_periods * 2.0 * math.pi / abs(spec.k_z)
         seconds = np.linspace(0.0, z_span, ny)
-        pair = analytic_spin_surface(spec, xs)
-        profile = pair.combined() if combine else pair.total()
-
-        def one_row(z: float) -> list[str]:
-            # time-averaged densities carry no z dependence; each row
-            # repeats the decay profile at its z station
-            return [SpinMapRow.from_sample(xs[i], z, profile[i]).csv_line()
-                    for i in range(nx)]
-
-    threads = _thread_count()
-    if threads == 1:
-        chunks = [one_row(second) for second in seconds]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunks = list(pool.map(one_row, seconds))
+        # time-averaged densities carry no z dependence; each row
+        # repeats the decay profile at its z station
+        values = _value_fields(analytic_spin_surface(spec, xs), combine)
+    x_fields = [repr(x) for x in xs.tolist()]
     lines = [CSV_HEADER]
-    for chunk in chunks:
-        lines.extend(chunk)
+    for second in seconds.tolist():
+        if guided:
+            values = _value_fields(
+                analytic_spin_guided(spec, (xs, np.full(nx, second))), combine)
+        y = repr(second)
+        lines.extend(f"{x},{y},{v}" for x, v in zip(x_fields, values))
     return lines
 
 

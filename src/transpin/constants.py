@@ -1,7 +1,8 @@
 """Physical constants and unit systems.
 
 Every formula in this package takes an explicit :class:`PhysicalConstants`
-set.  The default is SI (CODATA values via :mod:`scipy.constants`); a natural
+set.  The default is SI, with the CODATA 2022 values pinned as literals so
+results do not depend on the installed version of any library; a natural
 unit system with ``c = eps0 = hbar = 1`` is provided for well-conditioned
 work at the single-quantum scale.
 
@@ -15,8 +16,6 @@ only to ~1e-12 relative, which is not good enough here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import scipy.constants as _codata
 
 __all__ = ["PhysicalConstants", "SI", "NATURAL"]
 
@@ -55,8 +54,9 @@ class PhysicalConstants:
 
     @classmethod
     def si(cls) -> "PhysicalConstants":
-        """CODATA SI values (``mu0`` derived, see module docstring)."""
-        return cls(c=_codata.c, eps0=_codata.epsilon_0, hbar=_codata.hbar)
+        """CODATA 2022 SI values (``mu0`` derived, see module docstring)."""
+        return cls(c=299792458.0, eps0=8.8541878188e-12,
+                   hbar=1.0545718176461565e-34)
 
     @classmethod
     def natural(cls) -> "PhysicalConstants":

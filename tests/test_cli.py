@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 
@@ -10,16 +9,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from transpin.cli import CSV_HEADER, main
+from transpin import analytic_spin_guided, analytic_spin_surface
+from transpin.cli import CSV_HEADER, RunConfig, main
 
 
-def run_cli(*args, env_threads=None):
-    env = dict(os.environ)
-    env.pop("TRANSPIN_THREADS", None)
-    if env_threads is not None:
-        env["TRANSPIN_THREADS"] = str(env_threads)
+def run_cli(*args):
     return subprocess.run([sys.executable, "-m", "transpin", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def parse_csv(text):
@@ -102,17 +98,61 @@ def test_config_file_with_flag_override(tmp_path, capsys):
     assert three_wide.shape == (6, 6)  # the flag overrode the file
 
 
-def test_byte_identical_output_across_runs_and_thread_counts(tmp_path):
+def test_byte_identical_output_across_runs(capsys):
     args = ["spinmap", "--family", "TM", "--m", "2", "--n", "2",
             "--omega-ratio", "1.9", "--nx", "23", "--ny", "17"]
     outputs = []
-    for threads in (None, 1, 2, 5):
-        result = run_cli(*args, env_threads=threads)
+    for _ in range(2):
+        result = run_cli(*args)
         assert result.returncode == 0, result.stderr
         outputs.append(result.stdout)
+    assert main(args) == 0
+    outputs.append(capsys.readouterr().out)
     assert len(set(outputs)) == 1
-    repeat = run_cli(*args, env_threads=5)
-    assert repeat.stdout == outputs[0]
+
+
+def _expected_map(flags):
+    """The CSV rendered from one vectorized call over the whole grid."""
+    config = RunConfig.from_sources({}, flags)
+    spec = config.build_spec()
+    nx, ny = flags["nx"], flags["ny"]
+    surface = flags.get("kind") == "surface"
+    if surface:
+        xs = np.linspace(0.0, flags["x-max-kappa"] / spec.kappa, nx)
+        ys = np.linspace(0.0, flags["z-periods"] * 2.0 * math.pi
+                         / abs(spec.k_z), ny)
+    else:
+        xs = np.linspace(0.0, spec.geometry.a, nx)
+        ys = np.linspace(0.0, spec.geometry.b, ny)
+    X, Y = np.meshgrid(xs, ys)  # y-major: x varies fastest
+    pair = (analytic_spin_surface(spec, X.ravel()) if surface
+            else analytic_spin_guided(spec, (X.ravel(), Y.ravel())))
+    s = pair.combined() if flags["combine-spins"] else pair.total()
+    lines = [CSV_HEADER]
+    for x, y, (sx, sy, sz) in zip(X.ravel().tolist(), Y.ravel().tolist(),
+                                  s.tolist()):
+        values = (x, y, sx, sy, sz, math.hypot(sx, sy, sz))
+        lines.append(",".join(repr(v) for v in values))
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("combine", [False, True])
+@pytest.mark.parametrize("mode", [
+    {"family": "TM", "m": 2, "n": 1, "a": 0.0229, "b": 0.0102},
+    {"family": "TE", "m": 2, "n": 0, "omega-ratio": 1.3},
+    {"family": "TE", "m": 1, "n": 1, "direction": -1},
+    {"kind": "surface", "family": "TM", "x-max-kappa": 3.0, "z-periods": 2.5},
+    {"kind": "surface", "family": "TE", "eta": 2.0, "phi-deg": 70.0,
+     "x-max-kappa": 5.0, "z-periods": 1.0},
+], ids=["TM21", "TE20", "TE11", "surface-TM", "surface-TE"])
+def test_spinmap_matches_vectorized_render(mode, combine, capsys):
+    flags = {**mode, "nx": 9, "ny": 6, "combine-spins": combine}
+    argv = ["spinmap", "--combine-spins" if combine else "--no-combine-spins"]
+    for key, value in flags.items():
+        if key != "combine-spins":
+            argv += [f"--{key}", str(value)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == _expected_map(flags)
 
 
 def test_floats_round_trip_through_the_csv(capsys):
@@ -157,8 +197,8 @@ def test_surface_report_fields(capsys):
 def test_report_json_is_deterministic():
     args = ["report", "--family", "TE", "--m", "2", "--n", "1",
             "--a", "0.0229", "--b", "0.0102"]
-    first = run_cli(*args, env_threads=3)
-    second = run_cli(*args, env_threads=1)
+    first = run_cli(*args)
+    second = run_cli(*args)
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
 
@@ -207,11 +247,11 @@ def test_unwritable_output_is_an_io_error(tmp_path, capsys):
                  "--output", str(missing_dir)]) == 2
 
 
-def test_invalid_thread_environment_is_a_config_error():
-    result = run_cli("spinmap", "--family", "TE", "--m", "1", "--n", "0",
-                     "--nx", "3", "--ny", "2", env_threads="many")
-    assert result.returncode == 1
-    assert "TRANSPIN_THREADS" in result.stderr
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+@pytest.mark.parametrize("key", ["x-max-kappa", "z-periods"])
+def test_surface_map_extent_must_be_finite_and_positive(key, value, capsys):
+    assert main(["spinmap", "--kind", "surface", f"--{key}", value]) == 1
+    assert key in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------
@@ -253,3 +293,15 @@ def test_verify_registry_keys_match_stamped_names():
     from transpin.verify import check_names, run_checks
 
     assert [r.name for r in run_checks()] == check_names()
+
+
+# ---------------------------------------------------------------------------
+# runtime dependencies
+
+
+def test_import_does_not_load_scipy():
+    result = subprocess.run(
+        [sys.executable, "-c",
+         "import transpin, sys; assert 'scipy' not in sys.modules"],
+        capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
