@@ -201,6 +201,11 @@ def _check_type(key: str, value: Any) -> None:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(
                 f"config key {key!r} must be a number, got {value!r}")
+        try:
+            float(value)
+        except OverflowError:
+            raise ConfigurationError(
+                f"config key {key!r} is too large for a float") from None
     elif expected is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigurationError(
@@ -240,6 +245,15 @@ def _value_fields(pair, combine: bool) -> list[str]:
             for sx, sy, sz in s.tolist()]
 
 
+def _surface_extent(config: RunConfig, key: str, default: float | None = None) -> float:
+    """A surface-wave extent: the configured value, else ``default``; finite and > 0."""
+    value = config.values.get(key, default)
+    if not (math.isfinite(value) and value > 0.0):
+        raise ConfigurationError(
+            f"config key {key!r} must be finite and > 0, got {value!r}")
+    return value
+
+
 def _map_rows(config: RunConfig, spec) -> list[str]:
     nx, ny = config["nx"], config["ny"]
     combine = config["combine-spins"]
@@ -248,15 +262,8 @@ def _map_rows(config: RunConfig, spec) -> list[str]:
         xs = np.linspace(0.0, spec.geometry.a, nx)
         seconds = np.linspace(0.0, spec.geometry.b, ny)
     else:
-        x_max = (config.values["x-max-kappa"]
-                 if config.was_provided("x-max-kappa") else 5.0)
-        z_periods = config["z-periods"]
-        for key, value in (("x-max-kappa", x_max), ("z-periods", z_periods)):
-            if not (math.isfinite(value) and value > 0.0):
-                raise ConfigurationError(
-                    f"config key {key!r} must be finite and > 0, got {value!r}")
-        xs = np.linspace(0.0, x_max / spec.kappa, nx)
-        z_span = z_periods * 2.0 * math.pi / abs(spec.k_z)
+        xs = np.linspace(0.0, _surface_extent(config, "x-max-kappa", 5.0) / spec.kappa, nx)
+        z_span = _surface_extent(config, "z-periods") * 2.0 * math.pi / abs(spec.k_z)
         seconds = np.linspace(0.0, z_span, ny)
         # time-averaged densities carry no z dependence; each row
         # repeats the decay profile at its z station
@@ -339,9 +346,8 @@ def _guided_report(config: RunConfig, spec: GuidedModeSpec) -> dict[str, Any]:
 
 def _surface_report(config: RunConfig, spec: SurfaceWaveSpec) -> dict[str, Any]:
     combine = config["combine-spins"]
-    x_max = (config.values["x-max-kappa"]
-             if config.was_provided("x-max-kappa") else 20.0)
-    obs = integrate_surface(spec, x_max_kappa=x_max, combine_spins=combine)
+    obs = integrate_surface(spec, x_max_kappa=_surface_extent(config, "x-max-kappa", 20.0),
+                            combine_spins=combine)
     W, P_z, S_closed = surface_closed_forms(spec)
     if combine:
         S_closed *= 0.5

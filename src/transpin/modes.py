@@ -25,6 +25,7 @@ coordinates; field vectors live on the trailing axis of shape ``(..., 3)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -77,6 +78,21 @@ class ModeIndex:
             raise InvalidModeError(f"TE requires m >= 1 and n >= 0, got ({self.m}, {self.n})")
 
 
+# The mode formulas raise these quantities to at most the third power
+# (``omega**3`` in the surface spin density), so each one must keep its cube
+# a finite normal float.
+_SCALE_RANGE = (sys.float_info.min ** (1.0 / 3.0), sys.float_info.max ** (1.0 / 3.0))
+
+
+def _check_scale(name: str, value) -> None:
+    """Reject a non-finite ``value`` or one whose cube leaves the float range."""
+    low, high = _SCALE_RANGE
+    if not (low <= abs(value) <= high):
+        raise ValueError(
+            f"{name} must be finite with magnitude in [{low:.3g}, {high:.3g}], "
+            f"got {value!r}")
+
+
 @dataclass(frozen=True)
 class WaveguideGeometry:
     """Rectangular cross-section ``a x b`` and quantization length ``L``.
@@ -93,6 +109,8 @@ class WaveguideGeometry:
             raise ValueError(f"need a >= b > 0, got a={self.a!r}, b={self.b!r}")
         if not (self.length > 0.0):
             raise ValueError(f"length must be positive, got {self.length!r}")
+        for name in ("a", "b", "length"):
+            _check_scale(name, getattr(self, name))
 
     @property
     def volume(self) -> float:
@@ -151,6 +169,10 @@ class GuidedModeSpec:
             raise ValueError(f"amplitude must be positive, got {self.amplitude!r}")
         if self.direction not in (+1, -1):
             raise ValueError(f"direction must be +1 or -1, got {self.direction!r}")
+        _check_scale("omega", self.omega)
+        _check_scale("amplitude", self.amplitude)
+        # with omega and omega_c in range, k_z is finite as well
+        _check_scale("omega_c (from a, b, m, n)", self.omega_c)
 
     @property
     def omega_c(self) -> float:
@@ -188,8 +210,8 @@ class SurfaceWaveSpec:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "family", ModeFamily(self.family))
-        if not (self.eta > 0.0):
-            raise ValueError(f"eta must be positive, got {self.eta!r}")
+        if not (0.0 < self.eta < math.inf):
+            raise ValueError(f"eta must be finite and positive, got {self.eta!r}")
         if not (0.0 < self.phi < math.pi / 2):
             raise DomainError(f"phi must lie in (0, pi/2), got {self.phi!r}")
         if self.eta * math.sin(self.phi) <= 1.0:
@@ -204,6 +226,10 @@ class SurfaceWaveSpec:
             raise ValueError(f"area must be positive, got {self.area!r}")
         if self.direction not in (+1, -1):
             raise ValueError(f"direction must be +1 or -1, got {self.direction!r}")
+        for name in ("omega", "amplitude", "area"):
+            _check_scale(name, getattr(self, name))
+        _check_scale("kappa (from omega, eta, phi)", self.kappa)
+        _check_scale("k_z (from omega, eta, phi)", self.k_z)
 
     @property
     def kappa(self) -> float:

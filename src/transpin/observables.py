@@ -334,7 +334,7 @@ def group_velocity_fd(spec: GuidedModeSpec, rel_step: float = 1e-6) -> float:
 
 
 def _check_quanta(n: int) -> int:
-    if n != int(n) or n < 1:
+    if not (1 <= n < math.inf) or n != int(n):
         raise ValueError(f"quantum number must be a positive integer, got {n!r}")
     return int(n)
 

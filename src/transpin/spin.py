@@ -208,12 +208,15 @@ def time_average_oracle(sampler, omega: float, samples: int = 64):
 
     For trigonometric integrands whose harmonics are all below ``samples``
     this equals the exact cycle average (discrete orthogonality), which makes
-    it a brute-force oracle for the phasor bilinear formulas.
+    it a brute-force oracle for the phasor bilinear formulas.  The whole grid
+    is evaluated in one call.
 
     Parameters
     ----------
     sampler : callable
-        ``t -> scalar or ndarray``; instantaneous (real-field) density.
+        ``t -> ndarray``; instantaneous (real-field) density.  It receives
+        every sample time at once, as an ndarray of shape ``(samples,)``,
+        and returns the samples on axis 0, shape ``(samples, ...)``.
     omega : float
         Angular frequency; the period is ``2*pi/omega``.
     samples : int
@@ -224,25 +227,42 @@ def time_average_oracle(sampler, omega: float, samples: int = 64):
     if samples < 4:
         raise ConfigurationError(f"need at least 4 samples per period, got {samples}")
     period = 2.0 * math.pi / omega
-    values = [np.asarray(sampler(j * period / samples)) for j in range(samples)]
-    return np.mean(np.stack(values, axis=0), axis=0)
+    t = np.arange(samples) * period / samples
+    return np.mean(np.asarray(sampler(t)), axis=0)
+
+
+def _time_major_phasor(spec, point):
+    """``t -> FieldPhasor`` at ``point``, with time on a new leading axis.
+
+    The axes of ``t`` come first and the broadcast shape of the point's
+    coordinates after them, so an array of times never pairs element-wise
+    with an array of points of the same length.
+    """
+    if isinstance(spec, GuidedModeSpec):
+        phasor, coords = guided_field_phasor, (point[0], point[1], point[2])
+    elif isinstance(spec, SurfaceWaveSpec):
+        phasor, coords = surface_field_phasor, (point[0], point[2])
+    else:
+        raise TypeError(f"unsupported spec type {type(spec).__name__}")
+    point_axes = (1,) * np.broadcast(*coords).ndim
+
+    def evaluate(t):
+        t = np.asarray(t, dtype=float)
+        return phasor(spec, point, t.reshape(t.shape + point_axes))
+
+    return evaluate
 
 
 def instantaneous_spin_sampler(spec, point, constants: PhysicalConstants | None = None):
     """Sampler of the instantaneous total spin density ``eps0 (E x A + B x C)``.
 
-    Returns a callable ``t -> (3,) ndarray`` built from the *real* fields and
-    potentials, suitable for :func:`time_average_oracle`; its average must
-    reproduce ``spin_densities(...).total()``.
+    Returns a callable ``t -> ndarray`` of shape ``t.shape + point_shape +
+    (3,)``, built from the *real* fields and potentials and suitable for
+    :func:`time_average_oracle`; its average must reproduce
+    ``spin_densities(...).total()``.
     """
     con = constants or spec.constants
-
-    if isinstance(spec, GuidedModeSpec):
-        evaluate = lambda t: guided_field_phasor(spec, point, t)  # noqa: E731
-    elif isinstance(spec, SurfaceWaveSpec):
-        evaluate = lambda t: surface_field_phasor(spec, point, t)  # noqa: E731
-    else:
-        raise TypeError(f"unsupported spec type {type(spec).__name__}")
+    evaluate = _time_major_phasor(spec, point)
 
     def sample(t):
         field = evaluate(t)
@@ -255,15 +275,12 @@ def instantaneous_spin_sampler(spec, point, constants: PhysicalConstants | None 
 
 
 def instantaneous_energy_sampler(spec, point, constants: PhysicalConstants | None = None):
-    """Sampler of the instantaneous energy density ``(eps0/2)(E^2 + c^2 B^2)``."""
-    con = constants or spec.constants
+    """Sampler of the instantaneous energy density ``(eps0/2)(E^2 + c^2 B^2)``.
 
-    if isinstance(spec, GuidedModeSpec):
-        evaluate = lambda t: guided_field_phasor(spec, point, t)  # noqa: E731
-    elif isinstance(spec, SurfaceWaveSpec):
-        evaluate = lambda t: surface_field_phasor(spec, point, t)  # noqa: E731
-    else:
-        raise TypeError(f"unsupported spec type {type(spec).__name__}")
+    Returns a callable ``t -> ndarray`` of shape ``t.shape + point_shape``.
+    """
+    con = constants or spec.constants
+    evaluate = _time_major_phasor(spec, point)
 
     def sample(t):
         field = evaluate(t)

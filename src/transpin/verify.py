@@ -7,7 +7,9 @@ reconciliations (see ``docs/derivations.md``): the TE_m0 doubling of the
 volume totals, the surface momentum-per-quantum form, and the circular-basis
 pole convention each have a dedicated check.
 
-The whole catalogue runs in a few seconds on one core.
+The whole catalogue takes about 0.2-0.3 s in process on one core of a
+2-core Xeon host (Python 3.11, numpy 2.4); its largest check,
+``algebra-helicity-eigensystem``, takes 50-90 ms of that.
 """
 
 from __future__ import annotations
@@ -552,14 +554,15 @@ def _check_helicity_eigensystem() -> CheckResult:
         ph = rng.uniform(0.0, 2 * math.pi, 25)
         near.append(np.stack([t * np.cos(ph), t * np.sin(ph),
                               sign * np.sqrt(1.0 - t * t)], axis=1))
-    worst = 0.0
-    for n in np.vstack([dirs] + near):
-        basis = helicity_eigensystem(n)
-        matrix = np.einsum("k,kab->ab", n, sms.tau)
-        for lam in (+1, 0, -1):
-            e = basis.vector(lam)
-            worst = max(worst, float(np.max(np.abs(matrix @ e - lam * e))))
-            worst = max(worst, abs(float(np.linalg.norm(e)) - 1.0))
+    dirs = np.vstack([dirs] + near)
+    helicities = (+1, 0, -1)
+    # vectors[i, l] is the eigenvector of helicity helicities[l] about dirs[i]
+    vectors = np.stack([[basis.vector(lam) for lam in helicities]
+                        for basis in map(helicity_eigensystem, dirs)])
+    lams = np.array(helicities, dtype=float)
+    applied = np.einsum("ik,kab,ilb->ila", dirs, sms.tau, vectors)
+    worst = max(float(np.max(np.abs(applied - lams[:, None] * vectors))),
+                float(np.max(np.abs(np.linalg.norm(vectors, axis=-1) - 1.0))))
     # printed special cases, up to a global phase
     worst_phase = 0.0
     for n, expected in [

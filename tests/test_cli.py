@@ -4,13 +4,14 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from transpin import analytic_spin_guided, analytic_spin_surface
-from transpin.cli import CSV_HEADER, RunConfig, main
+from transpin.cli import _KEY_TYPES, CSV_HEADER, RunConfig, main
 
 
 def run_cli(*args):
@@ -252,6 +253,49 @@ def test_unwritable_output_is_an_io_error(tmp_path, capsys):
 def test_surface_map_extent_must_be_finite_and_positive(key, value, capsys):
     assert main(["spinmap", "--kind", "surface", f"--{key}", value]) == 1
     assert key in capsys.readouterr().err
+
+
+def _config_error(args, capsys):
+    """Run ``main`` with warnings as errors; return its one stderr line."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*args, "--output", "-"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+@pytest.mark.parametrize("args, field", [
+    (["spinmap", "--kind", "surface", "--omega", "1e300"], "omega"),
+    (["report", "--kind", "surface", "--omega", "1e300"], "omega"),
+    (["report", "--kind", "surface", "--omega", "1e-300"], "omega"),
+    (["report", "--kind", "surface", "--eta", "inf"], "eta"),
+    (["report", "--kind", "surface", "--area", "nan"], "area"),
+    (["report", "--kind", "surface", "--eta", "1e300"], "kappa"),
+    (["report", "--omega-ratio", "inf"], "omega"),
+    (["report", "--omega-ratio", "1e200"], "omega"),
+    (["spinmap", "--amplitude", "1e200"], "amplitude"),
+    (["report", "--length", "inf"], "length"),
+    (["report", "--a", "1e-300", "--b", "1e-300"], "a"),
+])
+def test_out_of_range_spec_fields_are_named(args, field, capsys):
+    assert _config_error(args, capsys).startswith(f"config error: {field} ")
+
+
+@pytest.mark.parametrize("key", sorted(k for k, t in _KEY_TYPES.items() if t is float))
+def test_config_number_too_large_for_a_float_is_named(key, tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text('{"kind": "surface", "%s": 1%s}' % (key, "0" * 400))
+    err = _config_error(["spinmap", "--config", str(path)], capsys)
+    assert repr(key) in err and "too large for a float" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0"])
+def test_surface_report_depth_must_be_finite_and_positive(value, capsys):
+    err = _config_error(["report", "--kind", "surface", "--x-max-kappa", value], capsys)
+    assert err.startswith("config error: config key 'x-max-kappa'")
 
 
 # ---------------------------------------------------------------------------

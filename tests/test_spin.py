@@ -188,6 +188,62 @@ def test_oracle_converges_quadratically_in_sample_count(make_guided):
     assert_allclose(coarse, fine, atol=1e-13 * np.max(np.abs(fine) + 1e-300))
 
 
+def test_oracle_calls_the_sampler_once_with_every_time():
+    calls = []
+
+    def sampler(t):
+        calls.append(t)
+        return np.cos(t) ** 2
+
+    averaged = time_average_oracle(sampler, 1.0, samples=64)
+    assert len(calls) == 1
+    assert isinstance(calls[0], np.ndarray) and calls[0].shape == (64,)
+    assert_allclose(averaged, 0.5, rtol=1e-15)
+
+
+def _looped_oracle(sampler, omega, samples=64):
+    """The per-sample reference: one scalar-time sampler call per sample."""
+    period = 2.0 * math.pi / omega
+    return np.mean([sampler(j * period / samples) for j in range(samples)], axis=0)
+
+
+@pytest.mark.parametrize("family", ["TM", "TE"])
+def test_oracle_equals_a_per_sample_loop_guided(family, make_guided):
+    spec = make_guided(family, 2, 1)
+    for point in [(0.002, 0.003, 0.0), (0.011, 0.0071, 0.12)]:
+        for make in (instantaneous_spin_sampler, instantaneous_energy_sampler):
+            sampler = make(spec, point)
+            assert_allclose(time_average_oracle(sampler, spec.omega),
+                            _looped_oracle(sampler, spec.omega),
+                            rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("family", ["TM", "TE"])
+def test_oracle_equals_a_per_sample_loop_surface(family, make_surface):
+    spec = make_surface(family)
+    for depth in (0.0, 0.4, 2.5):
+        point = (depth / spec.kappa, 0.0, 1e-7)
+        for make in (instantaneous_spin_sampler, instantaneous_energy_sampler):
+            sampler = make(spec, point)
+            assert_allclose(time_average_oracle(sampler, spec.omega),
+                            _looped_oracle(sampler, spec.omega),
+                            rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("family", ["TM", "TE"])
+def test_oracle_over_as_many_points_as_samples_matches_scalar_calls(family, make_guided):
+    # 64 points against 64 samples: were time and points to share an axis,
+    # each time would pair with one point and the result would be wrong
+    spec = make_guided(family, 1, 1)
+    xs, ys, zs = _random_points(spec, 64)
+    for make in (instantaneous_spin_sampler, instantaneous_energy_sampler):
+        batched = time_average_oracle(make(spec, (xs, ys, zs)), spec.omega, 64)
+        single = np.stack([time_average_oracle(make(spec, p), spec.omega, 64)
+                           for p in zip(xs, ys, zs)])
+        assert batched.shape == single.shape
+        assert_allclose(batched, single, rtol=1e-14, atol=0)
+
+
 def test_oracle_rejects_tiny_sample_counts(make_guided):
     sampler = instantaneous_spin_sampler(make_guided(), (0.001, 0.001, 0.0))
     with pytest.raises(ConfigurationError):
