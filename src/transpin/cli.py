@@ -29,7 +29,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -41,9 +41,8 @@ from .effective_mass import (dispersion_residual, guided_mass_report,
 from .errors import ConfigurationError
 from .modes import (GuidedModeSpec, ModeFamily, ModeIndex, SurfaceWaveSpec,
                     WaveguideGeometry, cutoff_frequency)
-from .observables import (amplitude_for_quanta, guided_closed_forms,
-                          integrate_guided, integrate_surface,
-                          surface_closed_forms)
+from .observables import (amplitude_for_quanta, closed_forms,
+                          integrate_guided, integrate_surface)
 from .spin import analytic_spin_guided, analytic_spin_surface
 from .verify import run_checks
 
@@ -153,9 +152,9 @@ class RunConfig:
     # -- spec construction --------------------------------------------------
 
     def build_spec(self) -> GuidedModeSpec | SurfaceWaveSpec:
-        if self.values["kind"] == "guided":
-            return self._build_guided()
-        return self._build_surface()
+        spec = (self._build_guided() if self.values["kind"] == "guided"
+                else self._build_surface())
+        return replace(spec, amplitude=self._resolve_amplitude(spec))
 
     def _build_guided(self) -> GuidedModeSpec:
         v = self.values
@@ -168,18 +167,16 @@ class RunConfig:
         else:
             omega = (v["omega-ratio"] if self.was_provided("omega-ratio")
                      else math.sqrt(2.0)) * omega_c
-        spec = GuidedModeSpec(geometry, index, omega, v["amplitude"],
+        return GuidedModeSpec(geometry, index, omega, v["amplitude"],
                               v["direction"], constants)
-        return replace(spec, amplitude=self._resolve_amplitude(spec))
 
     def _build_surface(self) -> SurfaceWaveSpec:
         v = self.values
         omega = v["omega"] if self.was_provided("omega") else 1.2e15
-        spec = SurfaceWaveSpec(ModeFamily(v["family"]), v["eta"],
+        return SurfaceWaveSpec(ModeFamily(v["family"]), v["eta"],
                                math.radians(v["phi-deg"]), omega,
                                v["amplitude"], v["area"], v["direction"],
                                self.constants)
-        return replace(spec, amplitude=self._resolve_amplitude(spec))
 
     def _resolve_amplitude(self, spec) -> float:
         if self.values["normalize"] == "paper-figures":
@@ -302,94 +299,64 @@ def _rel(actual: float, expected: float) -> float:
     return abs(actual - expected) / max(abs(expected), 1e-300)
 
 
-def _guided_report(config: RunConfig, spec: GuidedModeSpec) -> dict[str, Any]:
+def _report(config: RunConfig, spec: GuidedModeSpec | SurfaceWaveSpec) -> dict[str, Any]:
+    """The report document: mode data and the mass block per kind, the rest shared."""
     combine = config["combine-spins"]
-    obs = integrate_guided(spec, combine_spins=combine)
-    W, P_z, S_closed = guided_closed_forms(spec)
+    if isinstance(spec, GuidedModeSpec):
+        obs = integrate_guided(spec, combine_spins=combine)
+        spin = "S_perp"
+        report = {
+            "m": spec.index.m,
+            "n": spec.index.n,
+            "geometry": asdict(spec.geometry),
+            "omega_c": spec.omega_c,
+            "sin_two_theta": math.sin(2.0 * obs.theta),
+            "mass": asdict(guided_mass_report(spec)),
+        }
+        residuals = {"klein_gordon": klein_gordon_stencil_residual(spec)}
+    else:
+        obs = integrate_surface(spec, x_max_kappa=_surface_extent(config, "x-max-kappa", 20.0),
+                                combine_spins=combine)
+        spin = "S_y"
+        mass = surface_mass_report(spec)
+        report = {
+            "eta": spec.eta,
+            "phi_deg": math.degrees(spec.phi),
+            "kappa": spec.kappa,
+            "area": spec.area,
+            "tan_theta_prime": spec.kappa / spec.k_z,
+            "mass": {
+                "m_s": mass.m_s, "M_s": mass.M_s, "epsilon": mass.epsilon,
+                "p": mass.p, "v": mass.v, "gamma": spec.k_z / spec.kappa,
+            },
+        }
+        residuals = {}
+    observables = asdict(obs)
+    W, P_z, S_closed = closed_forms(spec)
     if combine:
         S_closed *= 0.5
-    mass = guided_mass_report(spec)
-    hbar = spec.constants.hbar
-    return {
-        "kind": "guided",
-        "family": spec.index.family.value,
-        "m": spec.index.m,
-        "n": spec.index.n,
-        "geometry": {"a": spec.geometry.a, "b": spec.geometry.b,
-                     "length": spec.geometry.length},
+    residuals.update({
+        "W": _rel(obs.W, W),
+        "P_z": _rel(obs.P_z, P_z),
+        spin: _rel(observables[spin], S_closed),
+        "dispersion": dispersion_residual(spec),
+    })
+    report.update({
+        "kind": config["kind"],
+        "family": config["family"],
         "omega": spec.omega,
-        "omega_c": spec.omega_c,
         "k_z": float(np.real(spec.k_z)),
         "amplitude": spec.amplitude,
         "combine_spins": combine,
-        "observables": {
-            "W": obs.W, "P_z": obs.P_z, "S_perp": obs.S_perp, "v": obs.v,
-            "theta": obs.theta, "ellipticity": obs.ellipticity,
-            "n_quanta": obs.n_quanta, "n_quanta_integer": obs.n_quanta_integer,
-        },
-        "S_perp_over_hbar": obs.S_perp / hbar,
-        "sin_two_theta": math.sin(2.0 * obs.theta),
-        "mass": {
-            "m0": mass.m0, "epsilon": mass.epsilon, "p": mass.p,
-            "v_g": mass.v_g, "v_p": mass.v_p, "M0": mass.M0,
-            "relativistic_applicable": mass.relativistic_applicable,
-        },
-        "residuals": {
-            "W": _rel(obs.W, W),
-            "P_z": _rel(obs.P_z, P_z),
-            "S_perp": _rel(obs.S_perp, S_closed),
-            "dispersion": dispersion_residual(spec),
-            "klein_gordon": klein_gordon_stencil_residual(spec),
-        },
-    }
-
-
-def _surface_report(config: RunConfig, spec: SurfaceWaveSpec) -> dict[str, Any]:
-    combine = config["combine-spins"]
-    obs = integrate_surface(spec, x_max_kappa=_surface_extent(config, "x-max-kappa", 20.0),
-                            combine_spins=combine)
-    W, P_z, S_closed = surface_closed_forms(spec)
-    if combine:
-        S_closed *= 0.5
-    mass = surface_mass_report(spec)
-    hbar = spec.constants.hbar
-    return {
-        "kind": "surface",
-        "family": spec.family.value,
-        "eta": spec.eta,
-        "phi_deg": math.degrees(spec.phi),
-        "omega": spec.omega,
-        "kappa": spec.kappa,
-        "k_z": spec.k_z,
-        "area": spec.area,
-        "amplitude": spec.amplitude,
-        "combine_spins": combine,
-        "observables": {
-            "W": obs.W, "P_z": obs.P_z, "S_y": obs.S_y, "v": obs.v,
-            "theta_prime": obs.theta_prime, "ellipticity": obs.ellipticity,
-            "n_quanta": obs.n_quanta, "n_quanta_integer": obs.n_quanta_integer,
-        },
-        "S_y_over_hbar": obs.S_y / hbar,
-        "tan_theta_prime": spec.kappa / spec.k_z,
-        "mass": {
-            "m_s": mass.m_s, "M_s": mass.M_s, "epsilon": mass.epsilon,
-            "p": mass.p, "v": mass.v, "gamma": spec.k_z / spec.kappa,
-        },
-        "residuals": {
-            "W": _rel(obs.W, W),
-            "P_z": _rel(obs.P_z, P_z),
-            "S_y": _rel(obs.S_y, S_closed),
-            "dispersion": dispersion_residual(spec),
-        },
-    }
+        "observables": observables,
+        f"{spin}_over_hbar": observables[spin] / spec.constants.hbar,
+        "residuals": residuals,
+    })
+    return report
 
 
 def cmd_report(config: RunConfig) -> int:
-    spec = config.build_spec()
-    if isinstance(spec, GuidedModeSpec):
-        report = _guided_report(config, spec)
-    else:
-        report = _surface_report(config, spec)
+    report = _report(config, config.build_spec())
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
     _write_text(config["output"], text)
     return 0

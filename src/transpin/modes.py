@@ -43,6 +43,7 @@ __all__ = [
     "FieldPhasor",
     "cutoff_frequency",
     "axial_wavenumber",
+    "field_phasor",
     "guided_field_phasor",
     "surface_field_phasor",
     "maxwell_residuals",
@@ -363,6 +364,19 @@ def surface_field_phasor(spec: SurfaceWaveSpec, point, t=0.0) -> FieldPhasor:
     return FieldPhasor(E=E, B=B)
 
 
+def field_phasor(spec: GuidedModeSpec | SurfaceWaveSpec, point, t=0.0) -> FieldPhasor:
+    """Evaluate the phasor of a guided mode or a surface wave at ``point`` and ``t``.
+
+    Dispatches on the spec type to :func:`guided_field_phasor` or
+    :func:`surface_field_phasor`; see those for the coordinate domains.
+    """
+    if isinstance(spec, GuidedModeSpec):
+        return guided_field_phasor(spec, point, t)
+    if isinstance(spec, SurfaceWaveSpec):
+        return surface_field_phasor(spec, point, t)
+    raise TypeError(f"unsupported spec type {type(spec).__name__}")
+
+
 # --------------------------------------------------------------------------
 # finite-difference Maxwell diagnostics
 
@@ -391,19 +405,15 @@ def maxwell_residuals(spec, point, t=0.0) -> dict:
     three below ~1e-10; the acceptance threshold is 1e-8.
     """
     con = spec.constants
+    f0 = field_phasor(spec, point, t)
     if isinstance(spec, GuidedModeSpec):
-        evaluate = lambda p: guided_field_phasor(spec, p, t)  # noqa: E731
         h = 1e-6 * min(spec.geometry.a, spec.geometry.b)
         k_scale = spec.omega / con.c
-    elif isinstance(spec, SurfaceWaveSpec):
-        evaluate = lambda p: surface_field_phasor(spec, p, t)  # noqa: E731
+    else:
         h = 1e-6 / spec.kappa
         k_scale = abs(spec.k_z)
-    else:
-        raise TypeError(f"unsupported spec type {type(spec).__name__}")
 
-    f0 = evaluate(point)
-    dE, dB = _fd_vector_derivatives(evaluate, point, h)
+    dE, dB = _fd_vector_derivatives(lambda p: field_phasor(spec, p, t), point, h)
     div_e = dE[0][..., 0] + dE[1][..., 1] + dE[2][..., 2]
     div_b = dB[0][..., 0] + dB[1][..., 1] + dB[2][..., 2]
     curl_e = np.stack([

@@ -39,6 +39,7 @@ averages -- see ``docs/derivations.md`` for why the naive alternatives fail.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -55,6 +56,7 @@ __all__ = [
     "gauss_legendre",
     "integrate_guided",
     "integrate_surface",
+    "closed_forms",
     "guided_closed_forms",
     "surface_closed_forms",
     "energy_velocity",
@@ -153,23 +155,52 @@ def _require_propagating(spec: GuidedModeSpec, what: str) -> None:
             f"(omega = {spec.omega:.6g} <= omega_c = {spec.omega_c:.6g})")
 
 
-def _ellipse_intensities(spec: GuidedModeSpec, use_magnetic: bool,
-                         nx: int, ny: int) -> tuple[float, float]:
+def _check_float_range(**values: float) -> None:
+    """Raise ``ValueError`` naming the first value that is not a finite normal float.
+
+    Two parameters that are each in range can still push a total past the
+    float range together, or its underflow can leave it zero or subnormal.
+    """
+    for name, value in values.items():
+        if not (sys.float_info.min <= abs(value) < math.inf):
+            raise ValueError(
+                f"{name} = {value!r} leaves the float range; the mode "
+                "parameters are too extreme together")
+
+
+def _cell_grid(spec: GuidedModeSpec, nodes):
+    """Gauss-Legendre rules on the cell ``[0,a] x [0,b] x [0,L]`` and the phasor on their grid.
+
+    Returns ``(rules, field)``: ``rules`` holds one ``(nodes, weights)`` pair
+    per axis, and ``field`` has shape ``(nx, ny, nz, 3)``.
+    """
+    nx, ny, nz = _guided_nodes(spec, nodes)
+    geom = spec.geometry
+    rules = (gauss_legendre(nx, 0.0, geom.a), gauss_legendre(ny, 0.0, geom.b),
+             gauss_legendre(nz, 0.0, geom.length))
+    (xs, _), (ys, _), (zs, _) = rules
+    field = guided_field_phasor(
+        spec, (xs[:, None, None], ys[None, :, None], zs[None, None, :]))
+    return rules, field
+
+
+def _ellipse_intensities(spec: GuidedModeSpec, x_rule, y_rule) -> tuple[float, float]:
     """Cross-section mean square transverse/longitudinal field amplitudes.
 
     Electric field for TM, magnetic for TE (each family's longitudinal
-    component lives in that field).  Returns ``(h_perp^2, h_long^2)``.
+    component lives in that field), averaged over ``z = 0`` with the
+    ``(nodes, weights)`` rules ``x_rule`` on ``[0, a]`` and ``y_rule`` on
+    ``[0, b]``.  Returns ``(h_perp^2, h_long^2)``.
     """
-    geom = spec.geometry
-    xs, wx = gauss_legendre(nx, 0.0, geom.a)
-    ys, wy = gauss_legendre(ny, 0.0, geom.b)
+    (xs, wx), (ys, wy) = x_rule, y_rule
     field = guided_field_phasor(spec, (xs[:, None], ys[None, :], 0.0))
-    vec = field.B if use_magnetic else field.E
+    vec = field.B if spec.index.family is ModeFamily.TE else field.E
     perp = np.abs(vec[..., 0]) ** 2 + np.abs(vec[..., 1]) ** 2
     lon = np.abs(vec[..., 2]) ** 2
-    area = geom.a * geom.b
+    area = spec.geometry.a * spec.geometry.b
     h_perp2 = float(np.einsum("i,j,ij->", wx, wy, perp)) / area
     h_long2 = float(np.einsum("i,j,ij->", wx, wy, lon)) / area
+    _check_float_range(h_perp2=h_perp2, h_long2=h_long2)
     return h_perp2, h_long2
 
 
@@ -195,26 +226,25 @@ def integrate_guided(spec: GuidedModeSpec, nodes=None,
         For evanescent modes (their totals diverge with L or vanish).
     ResolutionError
         If explicit node counts are below the floor for the mode order.
+    ValueError
+        If a total, ``n_quanta`` or a field intensity leaves the float range.
     """
     _require_propagating(spec, "volume integration")
-    nx, ny, nz = _guided_nodes(spec, nodes)
-    geom, con = spec.geometry, spec.constants
+    con = spec.constants
     omega = spec.omega
     k_z = float(np.real(spec.k_z))
 
-    xs, wx = gauss_legendre(nx, 0.0, geom.a)
-    ys, wy = gauss_legendre(ny, 0.0, geom.b)
-    zs, wz = gauss_legendre(nz, 0.0, geom.length)
-    field = guided_field_phasor(
-        spec, (xs[:, None, None], ys[None, :, None], zs[None, None, :]))
-
-    w_den = energy_density(field, con)
-    p_den = momentum_density(field, con)[..., 2]
-    W = float(np.einsum("i,j,k,ijk->", wx, wy, wz, w_den))
-    P_z = float(np.einsum("i,j,k,ijk->", wx, wy, wz, p_den))
-
-    use_magnetic = spec.index.family is ModeFamily.TE
-    h_perp2, h_long2 = _ellipse_intensities(spec, use_magnetic, nx, ny)
+    rules, field = _cell_grid(spec, nodes)
+    (_, wx), (_, wy), (_, wz) = rules
+    # an overflow shows as inf or nan in a total, which the range checks name
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_den = energy_density(field, con)
+        p_den = momentum_density(field, con)[..., 2]
+        W = float(np.einsum("i,j,k,ijk->", wx, wy, wz, w_den))
+        P_z = float(np.einsum("i,j,k,ijk->", wx, wy, wz, p_den))
+        # before the intensities, which overflow whenever W does
+        _check_float_range(W=W)
+        h_perp2, h_long2 = _ellipse_intensities(spec, rules[0], rules[1])
     sin_2theta = 2.0 * math.sqrt(h_perp2 * h_long2) / (h_perp2 + h_long2)
     S_perp = math.copysign(1.0, k_z) * (W / omega) * sin_2theta
     if combine_spins:
@@ -222,6 +252,7 @@ def integrate_guided(spec: GuidedModeSpec, nodes=None,
 
     theta = math.atan2(math.sqrt(h_long2), math.sqrt(h_perp2))
     n_quanta = W / (con.hbar * omega)
+    _check_float_range(P_z=P_z, S_perp=S_perp, n_quanta=n_quanta)
     return GuidedObservables(
         W=W, P_z=P_z, S_perp=S_perp,
         v=P_z * con.c**2 / W,
@@ -240,6 +271,7 @@ def integrate_surface(spec: SurfaceWaveSpec, nodes: int = 64,
     The truncation tail is bounded by ``exp(-2*x_max_kappa)`` relative;
     the default depth of 20 decay lengths leaves ~4e-18.  Depths below 12
     cannot reach the 1e-9 contract and raise :class:`ResolutionError`.
+    A total or ``n_quanta`` outside the float range raises ``ValueError``.
     """
     if x_max_kappa < 12.0:
         raise ResolutionError(
@@ -254,16 +286,17 @@ def integrate_surface(spec: SurfaceWaveSpec, nodes: int = 64,
     xs, wx = gauss_legendre(nodes, 0.0, x_max_kappa / spec.kappa)
     field = surface_field_phasor(spec, (xs, 0.0, 0.0))
 
-    w_den = energy_density(field, con)
-    p_den = momentum_density(field, con)[..., 2]
-    pair = spin_densities(field, omega, con)
-    s_y = (pair.combined() if combine_spins else pair.total())[..., 1]
-
     A = spec.area
-    W = A * float(np.dot(wx, w_den))
-    P_z = A * float(np.dot(wx, p_den))
-    S_y = A * float(np.dot(wx, s_y))
+    with np.errstate(over="ignore", invalid="ignore"):
+        w_den = energy_density(field, con)
+        p_den = momentum_density(field, con)[..., 2]
+        pair = spin_densities(field, omega, con)
+        s_y = (pair.combined() if combine_spins else pair.total())[..., 1]
+        W = A * float(np.dot(wx, w_den))
+        P_z = A * float(np.dot(wx, p_den))
+        S_y = A * float(np.dot(wx, s_y))
     n_quanta = W / (con.hbar * omega)
+    _check_float_range(W=W, P_z=P_z, S_y=S_y, n_quanta=n_quanta)
     return SurfaceObservables(
         W=W, P_z=P_z, S_y=S_y,
         v=P_z * con.c**2 / W,
@@ -293,6 +326,18 @@ def guided_closed_forms(spec: GuidedModeSpec) -> tuple[float, float, float]:
     return W, P_z, S_perp
 
 
+def closed_forms(spec: GuidedModeSpec | SurfaceWaveSpec) -> tuple[float, float, float]:
+    """Closed-form ``(W, P_z, S)`` of a guided mode or a surface wave.
+
+    ``S`` is ``S_perp`` for a guided mode and ``S_y`` for a surface wave.
+    """
+    if isinstance(spec, GuidedModeSpec):
+        return guided_closed_forms(spec)
+    if isinstance(spec, SurfaceWaveSpec):
+        return surface_closed_forms(spec)
+    raise TypeError(f"unsupported spec type {type(spec).__name__}")
+
+
 def surface_closed_forms(spec: SurfaceWaveSpec) -> tuple[float, float, float]:
     """Closed-form ``(W, P_z, S_y)`` of a surface wave."""
     con = spec.constants
@@ -315,16 +360,17 @@ def energy_velocity(W: float, P_z: float, constants=SI) -> float:
     return P_z * constants.c**2 / W
 
 
-def group_velocity_fd(spec: GuidedModeSpec, rel_step: float = 1e-6) -> float:
+def group_velocity_fd(spec: GuidedModeSpec) -> float:
     """Central-difference group velocity ``domega/dk_z`` on the guided branch.
 
-    For a propagating guided mode this equals the energy velocity
-    ``P_z c^2 / W`` (their product with the phase velocity is ``c^2``).
+    The step is ``1e-6 |k_z|``.  For a propagating guided mode this equals
+    the energy velocity ``P_z c^2 / W`` (their product with the phase
+    velocity is ``c^2``).
     """
     _require_propagating(spec, "group velocity")
     con = spec.constants
     k0 = abs(float(np.real(spec.k_z)))
-    dk = rel_step * k0
+    dk = 1e-6 * k0
     omega_of = lambda k: math.sqrt(spec.omega_c**2 + con.c**2 * k * k)  # noqa: E731
     return spec.direction * (omega_of(k0 + dk) - omega_of(k0 - dk)) / (2.0 * dk)
 
@@ -348,16 +394,10 @@ def amplitude_for_quanta(n: int, spec) -> float:
     amplitude already present on ``spec`` is ignored.
     """
     n = _check_quanta(n)
-    con = spec.constants
-    target = n * con.hbar * spec.omega
     if isinstance(spec, GuidedModeSpec):
         _require_propagating(spec, "quantized amplitude")
-        unit = replace(spec, amplitude=1.0)
-        return math.sqrt(target / guided_closed_forms(unit)[0])
-    if isinstance(spec, SurfaceWaveSpec):
-        unit = replace(spec, amplitude=1.0)
-        return math.sqrt(target / surface_closed_forms(unit)[0])
-    raise TypeError(f"unsupported spec type {type(spec).__name__}")
+    target = n * spec.constants.hbar * spec.omega
+    return math.sqrt(target / closed_forms(replace(spec, amplitude=1.0))[0])
 
 
 def quantized_transverse_spin_guided(n: int, spec: GuidedModeSpec) -> float:
@@ -391,37 +431,23 @@ def quantized_transverse_spin_surface(n: int, spec: SurfaceWaveSpec,
 # ellipticity
 
 
-def ellipticity_guided(spec: GuidedModeSpec, nodes: int | None = None,
-                       use_magnetic: bool = False) -> tuple[float, float]:
+def ellipticity_guided(spec: GuidedModeSpec) -> tuple[float, float]:
     """Polarization-ellipse ratio ``e = h_long/h_perp`` and angle ``theta``.
 
     Computed from quadrature cross-section averages of the squared field
-    amplitudes.  For TM modes the electric field carries the longitudinal
-    component and ``e = omega_c/(|k_z| c) = tan(theta)`` exactly; the
-    electric ellipse of a TE mode is degenerate (``E_z = 0``), so requesting
-    it raises :class:`UnsupportedModeError`.
-
-    ``use_magnetic=True`` evaluates the magnetic-field ellipse instead.
-    This is the natural dual for TE modes, but note it is an extrapolation
-    of the TM ellipse construction, not an independently established
-    identity; it yields the same ``e`` value.
+    amplitudes, with ``max(2(m+n)+2, 20)`` nodes per axis, in the field that
+    carries the family's longitudinal component.  For TM modes that is the
+    electric field, and ``e = omega_c/(|k_z| c) = tan(theta)`` exactly.  The
+    electric ellipse of a TE mode is degenerate (``E_z = 0``), so TE modes
+    use the magnetic ellipse: the natural dual, which yields the same ``e``
+    value, but an extrapolation of the TM construction rather than an
+    independently established identity.
     """
     _require_propagating(spec, "ellipticity")
-    is_te = spec.index.family is ModeFamily.TE
-    if is_te and not use_magnetic:
-        raise UnsupportedModeError(
-            "TE modes have no longitudinal electric component; pass "
-            "use_magnetic=True for the magnetic-ellipse extrapolation")
-    if not is_te and use_magnetic:
-        raise UnsupportedModeError(
-            "TM modes have no longitudinal magnetic component; the magnetic "
-            "ellipse is defined for TE modes only")
-    n = nodes if nodes is not None else max(_min_nodes(spec), 20)
-    if n < _min_nodes(spec):
-        raise ResolutionError(
-            f"need at least {_min_nodes(spec)} nodes per axis",
-            suggested=_min_nodes(spec))
-    h_perp2, h_long2 = _ellipse_intensities(spec, use_magnetic, n, n)
+    n = max(_min_nodes(spec), 20)
+    geom = spec.geometry
+    h_perp2, h_long2 = _ellipse_intensities(spec, gauss_legendre(n, 0.0, geom.a),
+                                            gauss_legendre(n, 0.0, geom.b))
     e = math.sqrt(h_long2 / h_perp2)
     return e, math.atan(e)
 
@@ -454,13 +480,8 @@ def balance_integral(spec: GuidedModeSpec, nodes=None,
     order ``W``).
     """
     _require_propagating(spec, "balance integral")
-    nx, ny, nz = _guided_nodes(spec, nodes)
-    geom, con = spec.geometry, spec.constants
-    xs, wx = gauss_legendre(nx, 0.0, geom.a)
-    ys, wy = gauss_legendre(ny, 0.0, geom.b)
-    zs, wz = gauss_legendre(nz, 0.0, geom.length)
-    field = guided_field_phasor(
-        spec, (xs[:, None, None], ys[None, :, None], zs[None, None, :]))
+    con = spec.constants
+    ((_, wx), (_, wy), (_, wz)), field = _cell_grid(spec, nodes)
     e2 = np.sum(np.abs(field.E) ** 2, axis=-1)
     b2 = np.sum(np.abs(field.B) ** 2, axis=-1) * b_amplitude_scale**2
     integrand = 0.25 * con.eps0 * (e2 - con.c**2 * b2)

@@ -31,7 +31,7 @@ import numpy as np
 from .constants import SI, PhysicalConstants
 from .errors import ConfigurationError, DomainError
 from .modes import (FieldPhasor, GuidedModeSpec, ModeFamily, SurfaceWaveSpec,
-                    guided_field_phasor, surface_field_phasor)
+                    field_phasor)
 
 __all__ = [
     "PotentialPhasor",
@@ -231,29 +231,19 @@ def time_average_oracle(sampler, omega: float, samples: int = 64):
     return np.mean(np.asarray(sampler(t)), axis=0)
 
 
-def _time_major_phasor(spec, point):
-    """``t -> FieldPhasor`` at ``point``, with time on a new leading axis.
+def _time_major_phasor(spec, point, t) -> FieldPhasor:
+    """The phasor at ``point`` for every time in ``t``, on a new leading axis.
 
     The axes of ``t`` come first and the broadcast shape of the point's
     coordinates after them, so an array of times never pairs element-wise
     with an array of points of the same length.
     """
-    if isinstance(spec, GuidedModeSpec):
-        phasor, coords = guided_field_phasor, (point[0], point[1], point[2])
-    elif isinstance(spec, SurfaceWaveSpec):
-        phasor, coords = surface_field_phasor, (point[0], point[2])
-    else:
-        raise TypeError(f"unsupported spec type {type(spec).__name__}")
-    point_axes = (1,) * np.broadcast(*coords).ndim
-
-    def evaluate(t):
-        t = np.asarray(t, dtype=float)
-        return phasor(spec, point, t.reshape(t.shape + point_axes))
-
-    return evaluate
+    t = np.asarray(t, dtype=float)
+    axes = t.shape + (1,) * np.broadcast(*point).ndim
+    return field_phasor(spec, point, t.reshape(axes))
 
 
-def instantaneous_spin_sampler(spec, point, constants: PhysicalConstants | None = None):
+def instantaneous_spin_sampler(spec, point):
     """Sampler of the instantaneous total spin density ``eps0 (E x A + B x C)``.
 
     Returns a callable ``t -> ndarray`` of shape ``t.shape + point_shape +
@@ -261,11 +251,10 @@ def instantaneous_spin_sampler(spec, point, constants: PhysicalConstants | None 
     :func:`time_average_oracle`; its average must reproduce
     ``spin_densities(...).total()``.
     """
-    con = constants or spec.constants
-    evaluate = _time_major_phasor(spec, point)
+    con = spec.constants
 
     def sample(t):
-        field = evaluate(t)
+        field = _time_major_phasor(spec, point, t)
         pots = vector_potentials(field, spec.omega, con)
         e_r, b_r = np.real(field.E), np.real(field.B)
         a_r, c_r = np.real(pots.A), np.real(pots.C)
@@ -274,16 +263,15 @@ def instantaneous_spin_sampler(spec, point, constants: PhysicalConstants | None 
     return sample
 
 
-def instantaneous_energy_sampler(spec, point, constants: PhysicalConstants | None = None):
+def instantaneous_energy_sampler(spec, point):
     """Sampler of the instantaneous energy density ``(eps0/2)(E^2 + c^2 B^2)``.
 
     Returns a callable ``t -> ndarray`` of shape ``t.shape + point_shape``.
     """
-    con = constants or spec.constants
-    evaluate = _time_major_phasor(spec, point)
+    con = spec.constants
 
     def sample(t):
-        field = evaluate(t)
+        field = _time_major_phasor(spec, point, t)
         e_r, b_r = np.real(field.E), np.real(field.B)
         return 0.5 * con.eps0 * (np.sum(e_r * e_r, axis=-1)
                                  + con.c**2 * np.sum(b_r * b_r, axis=-1))

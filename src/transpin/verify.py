@@ -323,7 +323,7 @@ def _check_guided_ellipticity() -> CheckResult:
     for family, m, n in [("TM", 1, 1), ("TM", 2, 2), ("TE", 1, 0), ("TE", 2, 1)]:
         for ratio in (1.05, math.sqrt(2.0), 3.0):
             spec = _guided(family, m, n, ratio)
-            e, theta = ellipticity_guided(spec, use_magnetic=(family == "TE"))
+            e, theta = ellipticity_guided(spec)
             con = spec.constants
             expected = spec.omega_c / (abs(float(np.real(spec.k_z))) * con.c)
             worst = max(worst, _rel(e, expected), _rel(math.tan(theta), expected))

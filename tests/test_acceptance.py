@@ -26,6 +26,7 @@ from transpin import (amplitude_for_quanta, analytic_spin_guided,
                       surface_mass_report, time_average_oracle)
 from transpin.cli import main
 from transpin.constants import SI
+from transpin.modes import field_phasor
 from transpin.spin import (instantaneous_energy_sampler,
                            instantaneous_spin_sampler)
 from transpin.verify import run_checks
@@ -121,10 +122,8 @@ def test_criterion_04_brute_force_time_averages(make_guided, make_surface):
             points.append([(rng.uniform(0, 4.0 / spec.kappa), 0.0, 0.0)
                            for _ in range(8)])
         for spec, spec_points in zip(specs, points):
-            evaluate = (guided_field_phasor if hasattr(spec, "geometry")
-                        else surface_field_phasor)
             for point in spec_points:
-                field = evaluate(spec, point)
+                field = field_phasor(spec, point)
                 scale = float(energy_density(field, SI))
                 averaged_s = time_average_oracle(
                     instantaneous_spin_sampler(spec, point), spec.omega, 64)

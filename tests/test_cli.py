@@ -1,5 +1,7 @@
 """Command-line behavior: CSV/JSON shape, determinism, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import subprocess
@@ -8,6 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from transpin import analytic_spin_guided, analytic_spin_surface
@@ -195,6 +199,43 @@ def test_surface_report_fields(capsys):
     assert abs(report["observables"]["v"]) < 299792458.0
 
 
+def _key_tree(value):
+    if isinstance(value, dict):
+        return {key: _key_tree(item) for key, item in value.items()}
+    return None
+
+
+def _keys(*names, **subtrees):
+    return {**dict.fromkeys(names), **subtrees}
+
+
+_REPORT_KEYS = {
+    "guided": _keys(
+        "kind", "family", "m", "n", "omega", "omega_c", "k_z", "amplitude",
+        "combine_spins", "S_perp_over_hbar", "sin_two_theta",
+        geometry=_keys("a", "b", "length"),
+        observables=_keys("W", "P_z", "S_perp", "v", "theta", "ellipticity",
+                          "n_quanta", "n_quanta_integer"),
+        mass=_keys("m0", "epsilon", "p", "v_g", "v_p", "M0",
+                   "relativistic_applicable"),
+        residuals=_keys("W", "P_z", "S_perp", "dispersion", "klein_gordon")),
+    "surface": _keys(
+        "kind", "family", "eta", "phi_deg", "omega", "kappa", "k_z", "area",
+        "amplitude", "combine_spins", "S_y_over_hbar", "tan_theta_prime",
+        observables=_keys("W", "P_z", "S_y", "v", "theta_prime", "ellipticity",
+                          "n_quanta", "n_quanta_integer"),
+        mass=_keys("m_s", "M_s", "epsilon", "p", "v", "gamma"),
+        residuals=_keys("W", "P_z", "S_y", "dispersion")),
+}
+
+
+@pytest.mark.parametrize("combine", ["--combine-spins", "--no-combine-spins"])
+@pytest.mark.parametrize("kind", ["guided", "surface"])
+def test_report_key_tree_is_pinned(kind, combine, capsys):
+    assert main(["report", "--kind", kind, combine]) == 0
+    assert _key_tree(json.loads(capsys.readouterr().out)) == _REPORT_KEYS[kind]
+
+
 def test_report_json_is_deterministic():
     args = ["report", "--family", "TE", "--m", "2", "--n", "1",
             "--a", "0.0229", "--b", "0.0102"]
@@ -279,9 +320,38 @@ def _config_error(args, capsys):
     (["spinmap", "--amplitude", "1e200"], "amplitude"),
     (["report", "--length", "inf"], "length"),
     (["report", "--a", "1e-300", "--b", "1e-300"], "a"),
+    # each field is in range, but together they push a total out of it
+    (["report", "--omega", "1e10", "--a", "1e100"], "n_quanta"),
+    (["report", "--amplitude", "1e100", "--omega", "1e100"], "W"),
+    (["report", "--b", "1e-100", "--amplitude", "3e-103"], "W"),
+    (["report", "--amplitude", "1e-102", "--n", "5"], "S_perp"),
+    (["report", "--kind", "surface", "--omega", "3e102", "--amplitude", "1e-90"], "S_y"),
 ])
 def test_out_of_range_spec_fields_are_named(args, field, capsys):
     assert _config_error(args, capsys).startswith(f"config error: {field} ")
+
+
+_EXTREME = st.builds("{}e{}{}".format, st.sampled_from([1, 3]),
+                     st.sampled_from("+-"), st.integers(50, 102))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["guided", "surface"]),
+       flags=st.lists(st.sampled_from(["a", "b", "length", "omega", "amplitude",
+                                       "omega-ratio"]),
+                      min_size=2, max_size=2, unique=True),
+       values=st.lists(_EXTREME, min_size=2, max_size=2))
+def test_extreme_report_flag_pairs_exit_cleanly(kind, flags, values):
+    argv = ["report", "--kind", kind]
+    for flag, value in zip(flags, values):
+        argv += [f"--{flag}", value]
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    assert code in (0, 1), argv
+    assert "Traceback" not in err.getvalue()
 
 
 @pytest.mark.parametrize("key", sorted(k for k, t in _KEY_TYPES.items() if t is float))

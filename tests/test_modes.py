@@ -21,6 +21,8 @@ from transpin import (DomainError, GuidedModeSpec, InvalidModeError,
                       guided_field_phasor, maxwell_residuals,
                       surface_field_phasor)
 from transpin.constants import NATURAL, SI
+from transpin.modes import field_phasor
+from transpin.observables import closed_forms
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +301,13 @@ def test_packaged_maxwell_residuals_agree_with_local_check(make_guided):
                             (0.0075, 0.0041, 0.05))
     assert set(res) == {"div_e", "div_b", "faraday"}
     assert max(res.values()) <= 1e-8
+
+
+def test_spec_dispatchers_reject_a_foreign_spec(make_guided):
+    with pytest.raises(TypeError, match="unsupported spec type WaveguideGeometry"):
+        field_phasor(make_guided().geometry, (0.0, 0.0, 0.0))
+    with pytest.raises(TypeError, match="unsupported spec type WaveguideGeometry"):
+        closed_forms(make_guided().geometry)
 
 
 def test_natural_units_cutoff():
