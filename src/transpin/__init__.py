@@ -29,14 +29,13 @@ from .modes import (FieldPhasor, GuidedModeSpec, ModeFamily, ModeIndex,
 from .observables import (GuidedObservables, SurfaceObservables,
                           amplitude_for_quanta, balance_integral,
                           ellipticity_guided, ellipticity_surface,
-                          energy_velocity, group_velocity_fd,
-                          guided_closed_forms, integrate_guided,
-                          integrate_surface, quantized_transverse_spin_guided,
+                          group_velocity_fd, guided_closed_forms,
+                          integrate_guided, integrate_surface,
+                          quantized_transverse_spin_guided,
                           quantized_transverse_spin_surface,
                           surface_closed_forms)
-from .spin import (DensityReport, PotentialPhasor, SpinDensityPair,
-                   analytic_spin_guided, analytic_spin_surface,
-                   density_report, energy_density, momentum_density,
+from .spin import (PotentialPhasor, SpinDensityPair, analytic_spin_guided,
+                   analytic_spin_surface, energy_density, momentum_density,
                    spin_densities, time_average_oracle, vector_potentials)
 from .spin_algebra import (HelicityEigensystem, PolarizationCoefficients,
                            SixSpinor, SpinMatrixSet, build_spin_matrices,
@@ -55,16 +54,15 @@ __all__ = [
     "ModeFamily", "ModeIndex", "WaveguideGeometry", "GuidedModeSpec",
     "SurfaceWaveSpec", "FieldPhasor", "cutoff_frequency", "axial_wavenumber",
     "guided_field_phasor", "surface_field_phasor", "maxwell_residuals",
-    "PotentialPhasor", "SpinDensityPair", "DensityReport",
+    "PotentialPhasor", "SpinDensityPair",
     "vector_potentials", "spin_densities", "energy_density",
-    "momentum_density", "density_report", "analytic_spin_guided",
+    "momentum_density", "analytic_spin_guided",
     "analytic_spin_surface", "time_average_oracle",
     "GuidedObservables", "SurfaceObservables", "integrate_guided",
     "integrate_surface", "guided_closed_forms", "surface_closed_forms",
     "amplitude_for_quanta", "quantized_transverse_spin_guided",
     "quantized_transverse_spin_surface", "ellipticity_guided",
-    "ellipticity_surface", "balance_integral", "energy_velocity",
-    "group_velocity_fd",
+    "ellipticity_surface", "balance_integral", "group_velocity_fd",
     "GuidedMassReport", "SurfaceMassReport", "FourMomentumSplit",
     "guided_mass_report", "surface_mass_report", "dispersion_residual",
     "klein_gordon_stencil_residual", "four_momentum_split", "minkowski_dot",

@@ -18,19 +18,20 @@ Configuration is a single JSON object with kebab-case keys; every key has a
 matching command-line flag, and flags override the file.  Exit codes: 0
 success, 1 configuration error, 2 I/O error, 3 verification failure.
 
-Spin-map rows are written in y-major order (x fastest), and floats in
-Python's shortest round-trip representation, so output bytes are identical
-across runs.
+Spin-map rows are written in y-major order (x fastest), each as soon as it
+is formatted, and floats in Python's shortest round-trip representation, so
+output bytes are identical across runs.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -41,9 +42,10 @@ from .effective_mass import (dispersion_residual, guided_mass_report,
 from .errors import ConfigurationError
 from .modes import (GuidedModeSpec, ModeFamily, ModeIndex, SurfaceWaveSpec,
                     WaveguideGeometry, cutoff_frequency)
-from .observables import (amplitude_for_quanta, closed_forms,
-                          integrate_guided, integrate_surface)
-from .spin import analytic_spin_guided, analytic_spin_surface
+from .observables import (_check_float_range, amplitude_for_quanta,
+                          closed_forms, integrate_guided, integrate_surface)
+from .spin import (_guided_scales, _surface_peak, analytic_spin_guided,
+                   analytic_spin_surface)
 from .verify import run_checks
 
 __all__ = ["RunConfig", "main"]
@@ -251,43 +253,70 @@ def _surface_extent(config: RunConfig, key: str, default: float | None = None) -
     return value
 
 
-def _map_rows(config: RunConfig, spec) -> list[str]:
+def _map_rows(config: RunConfig, spec) -> Iterator[str]:
+    """Check the whole map, then return an iterator over its CSV text.
+
+    Every check runs before this returns: the extents, and the peak of each
+    spin column, which must be a finite normal float.  The iterator yields
+    the header line and then one chunk per row, so at most a row is held.
+    """
     nx, ny = config["nx"], config["ny"]
     combine = config["combine-spins"]
     guided = isinstance(spec, GuidedModeSpec)
     if guided:
-        xs = np.linspace(0.0, spec.geometry.a, nx)
-        seconds = np.linspace(0.0, spec.geometry.b, ny)
+        x_max, y_max = spec.geometry.a, spec.geometry.b
+        peaks = {}
+        if spec.is_propagating:
+            kx, ky, K = _guided_scales(spec)
+            if ky:  # n = 0 zeroes the s_x column by structure
+                peaks["sx_peak"] = ky * K
+            peaks["sy_peak"] = kx * K
+            peaks["mag_peak"] = math.hypot(ky * K, kx * K)
     else:
-        xs = np.linspace(0.0, _surface_extent(config, "x-max-kappa", 5.0) / spec.kappa, nx)
-        z_span = _surface_extent(config, "z-periods") * 2.0 * math.pi / abs(spec.k_z)
-        seconds = np.linspace(0.0, z_span, ny)
+        x_max = _surface_extent(config, "x-max-kappa", 5.0) / spec.kappa
+        y_max = _surface_extent(config, "z-periods") * 2.0 * math.pi / abs(spec.k_z)
+        peaks = {"x_max": x_max, "z_max": y_max, "sy_peak": _surface_peak(spec)}
+    _check_float_range(**peaks)
+    xs = np.linspace(0.0, x_max, nx)
+    seconds = np.linspace(0.0, y_max, ny)
+    if not guided:
         # time-averaged densities carry no z dependence; each row
         # repeats the decay profile at its z station
-        values = _value_fields(analytic_spin_surface(spec, xs), combine)
+        profile = _value_fields(analytic_spin_surface(spec, xs), combine)
     x_fields = [repr(x) for x in xs.tolist()]
-    lines = [CSV_HEADER]
-    for second in seconds.tolist():
-        if guided:
-            values = _value_fields(
-                analytic_spin_guided(spec, (xs, np.full(nx, second))), combine)
-        y = repr(second)
-        lines.extend(f"{x},{y},{v}" for x, v in zip(x_fields, values))
-    return lines
+
+    def rows() -> Iterator[str]:
+        yield CSV_HEADER + "\n"
+        for second in seconds.tolist():
+            values = (_value_fields(analytic_spin_guided(spec, (xs, np.full(nx, second))),
+                                    combine)
+                      if guided else profile)
+            y = repr(second)
+            yield "".join([f"{x},{y},{v}\n" for x, v in zip(x_fields, values)])
+
+    return rows()
 
 
-def _write_text(path: str, text: str) -> None:
+@contextlib.contextmanager
+def _open_output(path: str) -> Iterator[TextIO]:
+    """Standard output for ``-``, else the file at ``path``: UTF-8, LF line ends."""
     if path == "-":
-        sys.stdout.write(text)
+        yield sys.stdout
         return
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        yield handle
+
+
+def _write_text(handle: TextIO, text: str) -> None:
+    """Write ``text`` to ``handle``; every byte the CLI outputs passes here."""
+    handle.write(text)
 
 
 def cmd_spinmap(config: RunConfig) -> int:
-    spec = config.build_spec()
-    lines = _map_rows(config, spec)
-    _write_text(config["output"], "\n".join(lines) + "\n")
+    rows = _map_rows(config, config.build_spec())
+    with _open_output(config["output"]) as handle:
+        for text in rows:
+            _write_text(handle, text)
     return 0
 
 
@@ -358,7 +387,8 @@ def _report(config: RunConfig, spec: GuidedModeSpec | SurfaceWaveSpec) -> dict[s
 def cmd_report(config: RunConfig) -> int:
     report = _report(config, config.build_spec())
     text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
-    _write_text(config["output"], text)
+    with _open_output(config["output"]) as handle:
+        _write_text(handle, text)
     return 0
 
 

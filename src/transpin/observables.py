@@ -44,7 +44,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .constants import SI
 from .errors import ResolutionError, UnsupportedModeError
 from .modes import (GuidedModeSpec, ModeFamily, SurfaceWaveSpec,
                     guided_field_phasor, surface_field_phasor)
@@ -59,7 +58,6 @@ __all__ = [
     "closed_forms",
     "guided_closed_forms",
     "surface_closed_forms",
-    "energy_velocity",
     "group_velocity_fd",
     "amplitude_for_quanta",
     "quantized_transverse_spin_guided",
@@ -351,13 +349,6 @@ def surface_closed_forms(spec: SurfaceWaveSpec) -> tuple[float, float, float]:
 
 # --------------------------------------------------------------------------
 # velocities
-
-
-def energy_velocity(W: float, P_z: float, constants=SI) -> float:
-    """Energy transport velocity ``v = P_z c^2 / W``."""
-    if not (W > 0.0):
-        raise ValueError(f"total energy must be positive, got {W!r}")
-    return P_z * constants.c**2 / W
 
 
 def group_velocity_fd(spec: GuidedModeSpec) -> float:

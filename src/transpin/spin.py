@@ -36,12 +36,10 @@ from .modes import (FieldPhasor, GuidedModeSpec, ModeFamily, SurfaceWaveSpec,
 __all__ = [
     "PotentialPhasor",
     "SpinDensityPair",
-    "DensityReport",
     "vector_potentials",
     "spin_densities",
     "energy_density",
     "momentum_density",
-    "density_report",
     "analytic_spin_guided",
     "analytic_spin_surface",
     "time_average_oracle",
@@ -72,15 +70,6 @@ class SpinDensityPair:
     def total(self) -> np.ndarray:
         """Plain sum; equals the non-vanishing branch for pure TM/TE modes."""
         return self.s_e + self.s_m
-
-
-@dataclass(frozen=True)
-class DensityReport:
-    """Pointwise densities: energy ``w``, momentum ``p``, spin pair."""
-
-    w: np.ndarray
-    p: np.ndarray
-    spin: SpinDensityPair
 
 
 def vector_potentials(field: FieldPhasor, omega: float,
@@ -117,16 +106,25 @@ def momentum_density(field: FieldPhasor, constants: PhysicalConstants = SI) -> n
     return 0.5 * constants.eps0 * np.real(np.cross(field.E, np.conj(field.B)))
 
 
-def density_report(field: FieldPhasor, omega: float,
-                   constants: PhysicalConstants = SI) -> DensityReport:
-    """Bundle energy, momentum and spin densities for one evaluated field."""
-    return DensityReport(w=energy_density(field, constants),
-                         p=momentum_density(field, constants),
-                         spin=spin_densities(field, omega, constants))
-
-
 # --------------------------------------------------------------------------
 # closed-form spin densities
+
+
+def _guided_scales(spec: GuidedModeSpec) -> tuple[float, float, float]:
+    """``(kx, ky, K)``: the transverse wavenumbers and the guided spin prefactor."""
+    geom, con = spec.geometry, spec.constants
+    kx = spec.index.m * math.pi / geom.a
+    ky = spec.index.n * math.pi / geom.b
+    K = float(np.real(spec.k_z)) * spec.amplitude**2 / (
+        2.0 * con.mu0 * spec.omega_c**2 * spec.omega)
+    return kx, ky, K
+
+
+def _surface_peak(spec: SurfaceWaveSpec) -> float:
+    """The surface spin density at the interface, ``eps0 h'^2 kappa k_z c^2 / omega^3``."""
+    con = spec.constants
+    return (con.eps0 * spec.amplitude**2 * spec.kappa * spec.k_z * con.c**2
+            / spec.omega**3)
 
 
 def analytic_spin_guided(spec: GuidedModeSpec, point) -> SpinDensityPair:
@@ -148,7 +146,7 @@ def analytic_spin_guided(spec: GuidedModeSpec, point) -> SpinDensityPair:
     modes (imaginary ``k_z``) every component is identically zero: all field
     components then share a common phase, so the spin bilinears are real.
     """
-    geom, idx, con = spec.geometry, spec.index, spec.constants
+    geom, idx = spec.geometry, spec.index
     x = np.asarray(point[0], dtype=float)
     y = np.asarray(point[1], dtype=float)
     if np.any(x < 0.0) or np.any(x > geom.a):
@@ -161,11 +159,7 @@ def analytic_spin_guided(spec: GuidedModeSpec, point) -> SpinDensityPair:
     if not spec.is_propagating:
         return SpinDensityPair(s_e=zeros, s_m=zeros.copy())
 
-    kx = idx.m * math.pi / geom.a
-    ky = idx.n * math.pi / geom.b
-    K = float(np.real(spec.k_z)) * spec.amplitude**2 / (
-        2.0 * con.mu0 * spec.omega_c**2 * spec.omega)
-
+    kx, ky, K = _guided_scales(spec)
     s = np.zeros(shape)
     if idx.family is ModeFamily.TM:
         s[..., 0] = -ky * K * np.sin(kx * x) ** 2 * np.sin(2.0 * ky * y)
@@ -188,12 +182,10 @@ def analytic_spin_surface(spec: SurfaceWaveSpec, x) -> SpinDensityPair:
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("surface wave is defined on the vacuum side x >= 0")
-    con = spec.constants
     shape = x.shape + (3,)
     zeros = np.zeros(shape)
     s = np.zeros(shape)
-    s[..., 1] = (con.eps0 * spec.amplitude**2 * spec.kappa * spec.k_z * con.c**2
-                 / spec.omega**3) * np.exp(-2.0 * spec.kappa * x)
+    s[..., 1] = _surface_peak(spec) * np.exp(-2.0 * spec.kappa * x)
     if spec.family is ModeFamily.TM:
         return SpinDensityPair(s_e=s, s_m=zeros)
     return SpinDensityPair(s_e=zeros, s_m=s)

@@ -6,7 +6,10 @@ import json
 import math
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from transpin import analytic_spin_guided, analytic_spin_surface
+from transpin import analytic_spin_guided, analytic_spin_surface, cli
 from transpin.cli import _KEY_TYPES, CSV_HEADER, RunConfig, main
 
 
@@ -158,6 +161,50 @@ def test_spinmap_matches_vectorized_render(mode, combine, capsys):
             argv += [f"--{key}", str(value)]
     assert main(argv) == 0
     assert capsys.readouterr().out == _expected_map(flags)
+
+
+def test_streamed_map_holds_no_more_than_a_row(tmp_path):
+    # the 201 x 401 map is 7 MB of text, and 25 MB as a list of its lines
+    path = tmp_path / "map.csv"
+    tracemalloc.start()
+    try:
+        assert main(["spinmap", "--family", "TM", "--m", "2", "--n", "1",
+                     "--nx", "201", "--ny", "401", "--output", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.stat().st_size > 5_000_000
+    assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("mode", [
+    ["--family", "TE", "--m", "2", "--n", "1", "--combine-spins"],
+    ["--kind", "surface", "--family", "TE", "--z-periods", "2"],
+])
+def test_stdout_and_file_output_are_identical(mode, tmp_path, capsys):
+    path = tmp_path / "map.csv"
+    args = ["spinmap", *mode, "--nx", "13", "--ny", "7"]
+    assert main([*args, "--output", "-"]) == 0
+    assert main([*args, "--output", str(path)]) == 0
+    assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
+
+
+def test_every_map_write_goes_through_write_text(tmp_path, monkeypatch):
+    # perfbench/tracer.py wraps cli._write_text and counts len(text) as bytes written
+    texts = []
+    write = cli._write_text
+
+    def counting(handle, text):
+        texts.append(text)
+        write(handle, text)
+
+    monkeypatch.setattr(cli, "_write_text", counting)
+    path = tmp_path / "map.csv"
+    assert main(["spinmap", "--family", "TM", "--m", "1", "--n", "1",
+                 "--nx", "9", "--ny", "6", "--output", str(path)]) == 0
+    assert len(texts) >= 6
+    assert all(type(text) is str for text in texts)
+    assert sum(map(len, texts)) == path.stat().st_size
 
 
 def test_floats_round_trip_through_the_csv(capsys):
@@ -352,6 +399,62 @@ def test_extreme_report_flag_pairs_exit_cleanly(kind, flags, values):
         code = main(argv)
     assert code in (0, 1), argv
     assert "Traceback" not in err.getvalue()
+
+
+# each spec field is in range, but together they push a map column or an
+# extent out of the float range: nan, inf or a subnormal peak
+_MAP_OUT_OF_RANGE = [
+    (["--a", "3e100", "--amplitude", "1e100"], "sy_peak"),
+    (["--family", "TM", "--m", "1", "--n", "1", "--a", "3e100", "--b", "3e100",
+      "--amplitude", "1e100"], "sx_peak"),
+    (["--kind", "surface", "--amplitude", "1e-100", "--omega", "1e100"], "sy_peak"),
+    (["--kind", "surface", "--omega", "1e-50", "--x-max-kappa", "1e300"], "x_max"),
+    (["--kind", "surface", "--omega", "1e-50", "--z-periods", "1e300"], "z_max"),
+]
+
+
+@pytest.mark.parametrize("args, quantity", _MAP_OUT_OF_RANGE)
+def test_spinmap_out_of_float_range_is_named(args, quantity, capsys):
+    err = _config_error(["spinmap", *args, "--nx", "3", "--ny", "2"], capsys)
+    assert err.startswith(f"config error: {quantity} = ")
+    assert "leaves the float range" in err
+
+
+@pytest.mark.parametrize("args", [
+    ["--kind", "surface", "--z-periods", "0"],
+    ["--kind", "surface", "--x-max-kappa", "nan"],
+    *(args for args, _ in _MAP_OUT_OF_RANGE),
+])
+def test_rejected_map_creates_no_output(args, tmp_path, capsys):
+    path = tmp_path / "map.csv"
+    assert main(["spinmap", *args, "--nx", "3", "--ny", "2", "--output", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not path.exists()
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["guided", "surface"]),
+       flags=st.lists(st.sampled_from(["a", "b", "length", "omega", "amplitude",
+                                       "omega-ratio", "eta"]),
+                      min_size=2, max_size=2, unique=True),
+       values=st.lists(_EXTREME, min_size=2, max_size=2))
+def test_extreme_spinmap_flag_pairs_exit_cleanly(kind, flags, values):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "map.csv"
+        argv = ["spinmap", "--kind", kind, "--nx", "3", "--ny", "2", "--output", str(path)]
+        for flag, value in zip(flags, values):
+            argv += [f"--{flag}", value]
+        err = io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        assert code in (0, 1), argv
+        assert "Traceback" not in err.getvalue()
+        if code == 1:
+            assert not path.exists(), argv
+        else:
+            rows = parse_csv(path.read_text())
+            assert rows.shape == (6, 6) and np.all(np.isfinite(rows)), argv
 
 
 @pytest.mark.parametrize("key", sorted(k for k, t in _KEY_TYPES.items() if t is float))
