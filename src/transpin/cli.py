@@ -46,7 +46,7 @@ from .observables import (_check_float_range, amplitude_for_quanta,
                           closed_forms, integrate_guided, integrate_surface)
 from .spin import (_guided_scales, _surface_peak, analytic_spin_guided,
                    analytic_spin_surface)
-from .verify import run_checks
+from .verify import _rel, run_checks
 
 __all__ = ["RunConfig", "main"]
 
@@ -308,7 +308,10 @@ def _open_output(path: str) -> Iterator[TextIO]:
 
 
 def _write_text(handle: TextIO, text: str) -> None:
-    """Write ``text`` to ``handle``; every byte the CLI outputs passes here."""
+    """Write ``text`` to ``handle``; every byte of command output passes here.
+
+    Diagnostics written to standard error do not.
+    """
     handle.write(text)
 
 
@@ -322,10 +325,6 @@ def cmd_spinmap(config: RunConfig) -> int:
 
 # --------------------------------------------------------------------------
 # report
-
-
-def _rel(actual: float, expected: float) -> float:
-    return abs(actual - expected) / max(abs(expected), 1e-300)
 
 
 def _report(config: RunConfig, spec: GuidedModeSpec | SurfaceWaveSpec) -> dict[str, Any]:
@@ -402,13 +401,12 @@ def cmd_verify(name_filter: str | None, inject_fault: bool) -> int:
         sys.stderr.write(f"error: filter {name_filter!r} matched no checks\n")
         return 1
     width = max(len(r.name) for r in results)
-    for r in results:
-        status = "PASS" if r.passed else "FAIL"
-        line = (f"{status}  {r.name:<{width}}  measured={r.measured:.3e}  "
-                f"tolerance={r.tolerance:.3e}  {r.detail}")
-        print(line)
     failed = [r for r in results if not r.passed]
-    print(f"{len(results) - len(failed)} passed, {len(failed)} failed")
+    lines = [f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  "
+             f"measured={r.measured:.3e}  tolerance={r.tolerance:.3e}  {r.detail}"
+             for r in results]
+    lines.append(f"{len(results) - len(failed)} passed, {len(failed)} failed")
+    _write_text(sys.stdout, "\n".join(lines) + "\n")
     for r in failed:
         sys.stderr.write(
             f"error: check {r.name} failed: measured={r.measured!r} "

@@ -25,15 +25,7 @@ class DomainError(ValueError):
 
 
 class ResolutionError(ValueError):
-    """Quadrature resolution insufficient for the requested mode.
-
-    Carries ``suggested`` (node count or truncation depth) so callers can
-    retry with a safe setting.
-    """
-
-    def __init__(self, message: str, suggested: int | float | None = None):
-        super().__init__(message)
-        self.suggested = suggested
+    """A surface truncation depth too shallow for the 1e-9 contract."""
 
 
 class ConfigurationError(ValueError):

@@ -52,7 +52,6 @@ from .spin import energy_density, momentum_density, spin_densities
 __all__ = [
     "GuidedObservables",
     "SurfaceObservables",
-    "gauss_legendre",
     "integrate_guided",
     "integrate_surface",
     "closed_forms",
@@ -101,7 +100,7 @@ class SurfaceObservables:
     n_quanta_integer: int | None
 
 
-def gauss_legendre(n: int, lo: float, hi: float):
+def _gauss_legendre(n: int, lo: float, hi: float):
     """Gauss-Legendre nodes and weights mapped to ``[lo, hi]``."""
     x, w = np.polynomial.legendre.leggauss(n)
     half = 0.5 * (hi - lo)
@@ -119,31 +118,6 @@ def _neumann(spec: GuidedModeSpec) -> float:
     # TE_m0 keeps cos^2(0*y) = 1: one transverse average of 1/2 is absent,
     # doubling every volume total relative to the generic m,n >= 1 forms.
     return 2.0 if (spec.index.family is ModeFamily.TE and spec.index.n == 0) else 1.0
-
-
-def _min_nodes(spec: GuidedModeSpec) -> int:
-    return 2 * (spec.index.m + spec.index.n) + 2
-
-
-def _guided_nodes(spec: GuidedModeSpec, nodes) -> tuple[int, int, int]:
-    floor = _min_nodes(spec)
-    if nodes is None:
-        auto = max(floor, 8 * max(spec.index.m, spec.index.n), 20)
-        return auto, auto, 2
-    if isinstance(nodes, int):
-        nxyz = (nodes, nodes, 2)
-    else:
-        nxyz = tuple(int(v) for v in nodes)
-        if len(nxyz) != 3:
-            raise ValueError(f"nodes must be an int or (nx, ny, nz), got {nodes!r}")
-    if nxyz[0] < floor or nxyz[1] < floor:
-        raise ResolutionError(
-            f"transverse quadrature under-resolved for mode "
-            f"({spec.index.family.value}{spec.index.m}{spec.index.n}): "
-            f"use at least {floor} nodes per transverse axis", suggested=floor)
-    if nxyz[2] < 2:
-        raise ResolutionError("need at least 2 axial nodes", suggested=2)
-    return nxyz
 
 
 def _require_propagating(spec: GuidedModeSpec, what: str) -> None:
@@ -166,16 +140,25 @@ def _check_float_range(**values: float) -> None:
                 "parameters are too extreme together")
 
 
-def _cell_grid(spec: GuidedModeSpec, nodes):
+def _transverse_rules(spec: GuidedModeSpec):
+    """Gauss-Legendre ``(nodes, weights)`` rules on ``[0, a]`` and ``[0, b]``.
+
+    Each axis gets ``max(8*max(m, n), 20)`` nodes, the one transverse rule
+    of every guided quadrature.
+    """
+    n = max(8 * max(spec.index.m, spec.index.n), 20)
+    return (_gauss_legendre(n, 0.0, spec.geometry.a),
+            _gauss_legendre(n, 0.0, spec.geometry.b))
+
+
+def _cell_grid(spec: GuidedModeSpec):
     """Gauss-Legendre rules on the cell ``[0,a] x [0,b] x [0,L]`` and the phasor on their grid.
 
     Returns ``(rules, field)``: ``rules`` holds one ``(nodes, weights)`` pair
-    per axis, and ``field`` has shape ``(nx, ny, nz, 3)``.
+    per axis, and ``field`` has shape ``(nx, ny, 2, 3)``.  The integrand of a
+    propagating mode is z-independent, so two axial nodes suffice.
     """
-    nx, ny, nz = _guided_nodes(spec, nodes)
-    geom = spec.geometry
-    rules = (gauss_legendre(nx, 0.0, geom.a), gauss_legendre(ny, 0.0, geom.b),
-             gauss_legendre(nz, 0.0, geom.length))
+    rules = (*_transverse_rules(spec), _gauss_legendre(2, 0.0, spec.geometry.length))
     (xs, _), (ys, _), (zs, _) = rules
     field = guided_field_phasor(
         spec, (xs[:, None, None], ys[None, :, None], zs[None, None, :]))
@@ -202,18 +185,17 @@ def _ellipse_intensities(spec: GuidedModeSpec, x_rule, y_rule) -> tuple[float, f
     return h_perp2, h_long2
 
 
-def integrate_guided(spec: GuidedModeSpec, nodes=None,
+def integrate_guided(spec: GuidedModeSpec,
                      combine_spins: bool = False) -> GuidedObservables:
     """Quadrature totals ``(W, P_z, S_perp, ...)`` of a propagating guided mode.
+
+    The rule is ``max(8*max(m, n), 20)`` Gauss-Legendre nodes per transverse
+    axis and two axial nodes, for ~1e-14 relative accuracy.
 
     Parameters
     ----------
     spec : GuidedModeSpec
         Must be propagating (``omega > omega_c``).
-    nodes : int or (nx, ny, nz), optional
-        Transverse node counts must be at least ``2*(m+n)+2``; the axial
-        integrand of a propagating mode is z-independent, so two axial nodes
-        suffice.  Defaults are chosen for ~1e-14 relative accuracy.
     combine_spins : bool
         Report the dual-symmetrized spin ``(s_e + s_m)/2`` (halves the
         total for these single-branch modes).  Off by default.
@@ -222,8 +204,6 @@ def integrate_guided(spec: GuidedModeSpec, nodes=None,
     ------
     UnsupportedModeError
         For evanescent modes (their totals diverge with L or vanish).
-    ResolutionError
-        If explicit node counts are below the floor for the mode order.
     ValueError
         If a total, ``n_quanta`` or a field intensity leaves the float range.
     """
@@ -232,7 +212,7 @@ def integrate_guided(spec: GuidedModeSpec, nodes=None,
     omega = spec.omega
     k_z = float(np.real(spec.k_z))
 
-    rules, field = _cell_grid(spec, nodes)
+    rules, field = _cell_grid(spec)
     (_, wx), (_, wy), (_, wz) = rules
     # an overflow shows as inf or nan in a total, which the range checks name
     with np.errstate(over="ignore", invalid="ignore"):
@@ -261,27 +241,23 @@ def integrate_guided(spec: GuidedModeSpec, nodes=None,
     )
 
 
-def integrate_surface(spec: SurfaceWaveSpec, nodes: int = 64,
-                      x_max_kappa: float = 20.0,
+def integrate_surface(spec: SurfaceWaveSpec, x_max_kappa: float = 20.0,
                       combine_spins: bool = False) -> SurfaceObservables:
     """Quadrature totals of a surface wave over ``x in [0, x_max_kappa/kappa]``.
 
-    The truncation tail is bounded by ``exp(-2*x_max_kappa)`` relative;
-    the default depth of 20 decay lengths leaves ~4e-18.  Depths below 12
-    cannot reach the 1e-9 contract and raise :class:`ResolutionError`.
+    The rule is 64 Gauss-Legendre nodes on that interval.  The truncation
+    tail is bounded by ``exp(-2*x_max_kappa)`` relative; the default depth
+    of 20 decay lengths leaves ~4e-18.  Depths below 12 cannot reach the
+    1e-9 contract and raise :class:`ResolutionError`.
     A total or ``n_quanta`` outside the float range raises ``ValueError``.
     """
     if x_max_kappa < 12.0:
         raise ResolutionError(
             f"truncation depth {x_max_kappa} decay lengths leaves a relative "
-            f"tail of {math.exp(-2.0 * x_max_kappa):.2e}; use at least 12",
-            suggested=20.0)
-    if nodes < 16:
-        raise ResolutionError("surface quadrature needs at least 16 nodes",
-                              suggested=64)
+            f"tail of {math.exp(-2.0 * x_max_kappa):.2e}; use at least 12")
     con = spec.constants
     omega = spec.omega
-    xs, wx = gauss_legendre(nodes, 0.0, x_max_kappa / spec.kappa)
+    xs, wx = _gauss_legendre(64, 0.0, x_max_kappa / spec.kappa)
     field = surface_field_phasor(spec, (xs, 0.0, 0.0))
 
     A = spec.area
@@ -426,7 +402,8 @@ def ellipticity_guided(spec: GuidedModeSpec) -> tuple[float, float]:
     """Polarization-ellipse ratio ``e = h_long/h_perp`` and angle ``theta``.
 
     Computed from quadrature cross-section averages of the squared field
-    amplitudes, with ``max(2(m+n)+2, 20)`` nodes per axis, in the field that
+    amplitudes, with the transverse rule of :func:`integrate_guided`
+    (``max(8*max(m, n), 20)`` nodes per axis), in the field that
     carries the family's longitudinal component.  For TM modes that is the
     electric field, and ``e = omega_c/(|k_z| c) = tan(theta)`` exactly.  The
     electric ellipse of a TE mode is degenerate (``E_z = 0``), so TE modes
@@ -435,10 +412,7 @@ def ellipticity_guided(spec: GuidedModeSpec) -> tuple[float, float]:
     independently established identity.
     """
     _require_propagating(spec, "ellipticity")
-    n = max(_min_nodes(spec), 20)
-    geom = spec.geometry
-    h_perp2, h_long2 = _ellipse_intensities(spec, gauss_legendre(n, 0.0, geom.a),
-                                            gauss_legendre(n, 0.0, geom.b))
+    h_perp2, h_long2 = _ellipse_intensities(spec, *_transverse_rules(spec))
     e = math.sqrt(h_long2 / h_perp2)
     return e, math.atan(e)
 
@@ -460,8 +434,7 @@ def ellipticity_surface(spec: SurfaceWaveSpec) -> tuple[float, float]:
 # electric/magnetic balance
 
 
-def balance_integral(spec: GuidedModeSpec, nodes=None,
-                     b_amplitude_scale: float = 1.0) -> float:
+def balance_integral(spec: GuidedModeSpec, b_amplitude_scale: float = 1.0) -> float:
     """Volume integral ``(eps0/4) * Int Re(E.E* - c^2 B.B*) dV`` [J].
 
     Vanishes for every propagating mode: the electric and magnetic energies
@@ -472,7 +445,7 @@ def balance_integral(spec: GuidedModeSpec, nodes=None,
     """
     _require_propagating(spec, "balance integral")
     con = spec.constants
-    ((_, wx), (_, wy), (_, wz)), field = _cell_grid(spec, nodes)
+    ((_, wx), (_, wy), (_, wz)), field = _cell_grid(spec)
     e2 = np.sum(np.abs(field.E) ** 2, axis=-1)
     b2 = np.sum(np.abs(field.B) ** 2, axis=-1) * b_amplitude_scale**2
     integrand = 0.25 * con.eps0 * (e2 - con.c**2 * b2)

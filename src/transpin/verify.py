@@ -36,12 +36,13 @@ from .observables import (amplitude_for_quanta, balance_integral,
                           surface_closed_forms)
 from .spin import (analytic_spin_guided, analytic_spin_surface,
                    energy_density, instantaneous_energy_sampler,
-                   instantaneous_spin_sampler, spin_densities,
-                   time_average_oracle)
-from .spin_algebra import (LEVI_CIVITA, build_spin_matrices, commutator_table,
-                           decompose_polarization, generator_closure_rank,
-                           helicity_eigensystem,
-                           load_reference_commutator_table)
+                   instantaneous_spin_sampler, momentum_density,
+                   spin_densities, time_average_oracle)
+from .spin_algebra import (LEVI_CIVITA, SixSpinor, build_spin_matrices,
+                           commutator_table, decompose_polarization,
+                           generator_closure_rank, helicity_eigensystem,
+                           load_reference_commutator_table, to_chiral,
+                           to_standard)
 
 __all__ = ["CheckResult", "run_checks", "check_names"]
 
@@ -443,7 +444,6 @@ def _check_surface_mass_identities() -> CheckResult:
         # pointwise: w^2 - p_z^2 c^2 = rho0^2 c^4 along the decay axis
         xs = np.linspace(0.0, 5.0 / spec.kappa, 24)
         field = surface_field_phasor(spec, (xs, 0.0, 0.0))
-        from .spin import momentum_density
         w = energy_density(field, con)
         p_z = momentum_density(field, con)[..., 2]
         lhs = w**2 - (p_z * con.c) ** 2
@@ -566,19 +566,15 @@ def _check_helicity_eigensystem() -> CheckResult:
     # printed special cases, up to a global phase
     worst_phase = 0.0
     for n, expected in [
-        ((0.0, 0.0, 1.0), np.array([1.0, 1j, 0.0]) / _s2()),
-        ((1.0, 0.0, 0.0), np.array([0.0, 1j, -1.0]) / _s2()),
-        ((0.0, 1.0, 0.0), np.array([1.0, 0.0, -1j]) / _s2()),
+        ((0.0, 0.0, 1.0), np.array([1.0, 1j, 0.0]) / math.sqrt(2.0)),
+        ((1.0, 0.0, 0.0), np.array([0.0, 1j, -1.0]) / math.sqrt(2.0)),
+        ((0.0, 1.0, 0.0), np.array([1.0, 0.0, -1j]) / math.sqrt(2.0)),
     ]:
         e = helicity_eigensystem(np.array(n)).e_plus
         worst_phase = max(worst_phase, abs(abs(np.vdot(expected, e)) - 1.0))
     ok = worst <= 1e-13 and worst_phase <= 1e-13
     return CheckResult("algebra-helicity-eigensystem", ok, worst, 1e-13,
                        "1050 directions incl. 50 near-pole; pole vectors match printed forms")
-
-
-def _s2() -> float:
-    return math.sqrt(2.0)
 
 
 def _check_spin_decomposition_bridge() -> CheckResult:
@@ -618,7 +614,6 @@ def _check_six_spinor_round_trip() -> CheckResult:
     for _ in range(10):
         E = rng.normal(size=3) + 1j * rng.normal(size=3)
         B = rng.normal(size=3) + 1j * rng.normal(size=3)
-        from .spin_algebra import SixSpinor, to_chiral, to_standard
         std = SixSpinor.standard_from_fields(E, B)
         chi = SixSpinor.chiral_from_fields(E, B)
         worst = max(worst, float(np.max(np.abs(to_chiral(std).values - chi.values))))

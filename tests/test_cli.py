@@ -189,8 +189,13 @@ def test_stdout_and_file_output_are_identical(mode, tmp_path, capsys):
     assert capsys.readouterr().out.encode("utf-8") == path.read_bytes()
 
 
-def test_every_map_write_goes_through_write_text(tmp_path, monkeypatch):
-    # perfbench/tracer.py wraps cli._write_text and counts len(text) as bytes written
+@pytest.fixture
+def written_texts(monkeypatch):
+    """Every text passed to ``cli._write_text``, in order.
+
+    perfbench/tracer.py wraps cli._write_text and counts len(text) as bytes
+    written, so command output that bypasses it goes unmeasured.
+    """
     texts = []
     write = cli._write_text
 
@@ -199,12 +204,27 @@ def test_every_map_write_goes_through_write_text(tmp_path, monkeypatch):
         write(handle, text)
 
     monkeypatch.setattr(cli, "_write_text", counting)
+    return texts
+
+
+def test_every_map_write_goes_through_write_text(tmp_path, written_texts):
     path = tmp_path / "map.csv"
     assert main(["spinmap", "--family", "TM", "--m", "1", "--n", "1",
                  "--nx", "9", "--ny", "6", "--output", str(path)]) == 0
-    assert len(texts) >= 6
-    assert all(type(text) is str for text in texts)
-    assert sum(map(len, texts)) == path.stat().st_size
+    assert len(written_texts) >= 6
+    assert all(type(text) is str for text in written_texts)
+    assert sum(map(len, written_texts)) == path.stat().st_size
+
+
+@pytest.mark.parametrize("args", [
+    ["report", "--family", "TE", "--m", "2", "--n", "1"],
+    ["report", "--kind", "surface"],
+    ["verify"],
+])
+def test_every_stdout_write_goes_through_write_text(args, written_texts, capsys):
+    assert main(args) == 0
+    out = capsys.readouterr().out
+    assert out and "".join(written_texts) == out
 
 
 def test_floats_round_trip_through_the_csv(capsys):

@@ -1,5 +1,6 @@
 """Volume totals, quantization chains, ellipticity, and resolution control."""
 
+import inspect
 import math
 from dataclasses import replace
 
@@ -11,7 +12,7 @@ from transpin import (ResolutionError, UnsupportedModeError,
                       amplitude_for_quanta, balance_integral,
                       ellipticity_guided, ellipticity_surface,
                       group_velocity_fd, guided_closed_forms,
-                      integrate_guided, integrate_surface,
+                      integrate_guided, integrate_surface, observables,
                       quantized_transverse_spin_guided,
                       quantized_transverse_spin_surface, surface_closed_forms)
 from transpin.constants import NATURAL, SI
@@ -66,13 +67,6 @@ def test_energy_velocity_equals_group_velocity(make_guided):
 def test_below_cutoff_integration_is_rejected(make_guided):
     with pytest.raises(UnsupportedModeError):
         integrate_guided(make_guided("TM", 1, 1, ratio=0.8))
-
-
-def test_quadrature_resolution_guard(make_guided):
-    spec = make_guided("TM", 3, 2)
-    with pytest.raises(ResolutionError) as err:
-        integrate_guided(spec, nodes=(4, 4, 2))
-    assert err.value.suggested >= 2 * (3 + 2) + 2
 
 
 # ---------------------------------------------------------------------------
@@ -239,15 +233,43 @@ def test_surface_direction_reversal(make_surface):
     assert_allclose(bwd.S_y, -fwd.S_y, rtol=1e-12)
 
 
-def test_surface_truncation_and_node_guards(make_surface):
-    spec = make_surface()
+def test_surface_truncation_guard(make_surface):
     with pytest.raises(ResolutionError):
-        integrate_surface(spec, x_max_kappa=8.0)
-    with pytest.raises(ResolutionError):
-        integrate_surface(spec, nodes=8)
+        integrate_surface(make_surface(), x_max_kappa=8.0)
 
 
 def test_surface_totals_subluminal(make_surface):
     obs = integrate_surface(make_surface("TM", eta=2.0, phi_deg=70.0))
     assert obs.W > abs(obs.P_z) * SI.c
     assert abs(obs.v) < SI.c
+
+
+# ---------------------------------------------------------------------------
+# API surface
+
+# The parameter names of every public quadrature-layer callable.  A new knob
+# (a node count, a tolerance) has to be a deliberate edit of this table.
+_SIGNATURES = {
+    "GuidedObservables": ("W", "P_z", "S_perp", "v", "theta", "ellipticity",
+                          "n_quanta", "n_quanta_integer"),
+    "SurfaceObservables": ("W", "P_z", "S_y", "v", "theta_prime", "ellipticity",
+                           "n_quanta", "n_quanta_integer"),
+    "integrate_guided": ("spec", "combine_spins"),
+    "integrate_surface": ("spec", "x_max_kappa", "combine_spins"),
+    "closed_forms": ("spec",),
+    "guided_closed_forms": ("spec",),
+    "surface_closed_forms": ("spec",),
+    "group_velocity_fd": ("spec",),
+    "amplitude_for_quanta": ("n", "spec"),
+    "quantized_transverse_spin_guided": ("n", "spec"),
+    "quantized_transverse_spin_surface": ("n", "spec", "combine_spins"),
+    "ellipticity_guided": ("spec",),
+    "ellipticity_surface": ("spec",),
+    "balance_integral": ("spec", "b_amplitude_scale"),
+}
+
+
+def test_quadrature_signatures_are_pinned():
+    signatures = {name: tuple(inspect.signature(getattr(observables, name)).parameters)
+                  for name in observables.__all__}
+    assert signatures == _SIGNATURES
