@@ -132,12 +132,17 @@ def dispersion_residual(spec: GuidedModeSpec | SurfaceWaveSpec,
                         k_z: float | None = None) -> float:
     """Normalized residual of the dispersion relation, zero on-branch.
 
-    Guided: ``|omega^2 - c^2 k_z^2 - omega_c^2| / omega^2`` (the cutoff acts
-    as a rest-energy term).  Surface: ``|omega^2 - c^2 k_z^2 + c^2 kappa^2|
-    / omega^2`` (the decay rate enters with the opposite sign, which is what
-    makes the effective mass imaginary-free only through kappa*omega/k_z).
-    Pass an explicit ``k_z`` to probe off-branch values, e.g. a 1%
-    perturbation gives ~2e-2 times ``(c k_z / omega)^2``.
+    Guided: ``omega^2 - c^2 k_z^2 - omega_c^2`` (the cutoff acts as a
+    rest-energy term).  Surface: ``omega^2 - c^2 k_z^2 + c^2 kappa^2`` (the
+    decay rate enters with the opposite sign, which is what makes the
+    effective mass imaginary-free only through kappa*omega/k_z).  The
+    magnitude is divided by the largest of the three terms, so rounding in
+    them reads as ~1e-16 at any scale; for a propagating guided mode that
+    term is ``omega^2``.  Pass an explicit ``k_z`` to probe off-branch
+    values.  A 1% increase gives ``0.0201 (c k_z / omega)^2`` while
+    ``omega^2`` stays the largest term, and ``0.0201 / 1.0201`` once the
+    perturbed ``c^2 k_z^2`` is (a surface wave, or a guided mode with ``c
+    k_z > omega / 1.01``).
     """
     con = spec.constants
     kz = spec.k_z if k_z is None else k_z
@@ -146,8 +151,9 @@ def dispersion_residual(spec: GuidedModeSpec | SurfaceWaveSpec,
         rest = -(con.c * spec.kappa) ** 2
     else:
         rest = spec.omega_c**2
-    residual = spec.omega**2 - con.c**2 * kz2 - rest
-    return abs(complex(residual)) / spec.omega**2
+    terms = (spec.omega**2, con.c**2 * kz2, rest)
+    residual = terms[0] - terms[1] - terms[2]
+    return abs(complex(residual)) / max(abs(term) for term in terms)
 
 
 def _second_derivative_5pt(values, h: float):
@@ -162,10 +168,13 @@ def klein_gordon_stencil_residual(spec: GuidedModeSpec) -> float:
     Applies the 5-point stencil of ``(1/c^2) d^2/dt^2 - d^2/dz^2 +
     (m0 c/hbar)^2`` to the longitudinal phasor component (``E_z`` for TM,
     ``B_z`` for TE) along ``t`` and ``z``, with steps of 1e-3 of the
-    respective periods, around ``t = 0`` and ``z = L/10`` at an antinode of
-    that component.  Returns ``|residual| / ((omega/c)^2 |psi|)``;
-    truncation keeps this around 1e-11, comfortably inside the 1e-6
-    acceptance bound, while a 1% off-branch ``k_z`` fails it by ~4 orders.
+    respective periods, around ``t = 0`` and a tenth of a guided wavelength
+    along ``z`` at an antinode of that component.  The field is periodic in
+    ``z``, so a centre tied to the wavelength rather than to the length keeps
+    the ``z`` samples resolved at any ``L``.  Returns ``|residual| /
+    ((omega/c)^2 |psi|)``; truncation keeps this around 1e-11 (6e-12 on the
+    verify modes), comfortably inside the 1e-6 acceptance bound, while a 1%
+    off-branch ``k_z`` fails it by ~4 orders.
     """
     _require_kg_applicable(spec)
     con = spec.constants
@@ -175,10 +184,11 @@ def klein_gordon_stencil_residual(spec: GuidedModeSpec) -> float:
         x0, y0 = geom.a / (2.0 * idx.m), geom.b / (2.0 * idx.n)
     else:
         x0, y0 = 0.0, 0.0
-    z0 = 0.1 * geom.length
     k_z = float(np.real(spec.k_z))
+    wavelength = 2.0 * math.pi / abs(k_z)
+    z0 = 0.1 * wavelength
     dt = 1e-3 * (2.0 * math.pi / spec.omega)
-    dz = 1e-3 * (2.0 * math.pi / abs(k_z))
+    dz = 1e-3 * wavelength
     comp = 2  # longitudinal component index in both families
 
     def sample(z, tt):

@@ -25,7 +25,9 @@ class DomainError(ValueError):
 
 
 class ResolutionError(ValueError):
-    """A surface truncation depth too shallow for the 1e-9 contract."""
+    """A quadrature that is not built: a surface truncation depth too shallow
+    for the 1e-9 contract, or guided mode indices past the transverse grid's
+    bound."""
 
 
 class ConfigurationError(ValueError):

@@ -68,6 +68,8 @@ __all__ = [
 
 #: quanta within this distance of an integer are reported as that integer
 _QUANTA_SNAP = 1e-6
+#: largest max(m, n) the guided quadrature grid is built for (~1.6 GB there)
+_MAX_MODE_INDEX = 200
 
 
 @dataclass(frozen=True)
@@ -144,11 +146,21 @@ def _transverse_rules(spec: GuidedModeSpec):
     """Gauss-Legendre ``(nodes, weights)`` rules on ``[0, a]`` and ``[0, b]``.
 
     Each axis gets ``max(8*max(m, n), 20)`` nodes, the one transverse rule
-    of every guided quadrature.
+    of every guided quadrature.  The grid's memory grows as ``max(m, n)^2``
+    (about 400 MB at ``max(m, n) = 100``, about 1.6 GB at 200), and
+    ``max(m, n)`` above ``_MAX_MODE_INDEX`` raises :class:`ResolutionError`.
+    The bound keeps the node count an index-sized integer; it does not keep
+    memory small.
     """
-    n = max(8 * max(spec.index.m, spec.index.n), 20)
-    return (_gauss_legendre(n, 0.0, spec.geometry.a),
-            _gauss_legendre(n, 0.0, spec.geometry.b))
+    m, n = spec.index.m, spec.index.n
+    nodes = max(8 * max(m, n), 20)
+    if max(m, n) > _MAX_MODE_INDEX:
+        raise ResolutionError(
+            f"mode indices m = {m}, n = {n} need {nodes} Gauss-Legendre nodes "
+            f"per transverse axis; the quadrature supports max(m, n) <= "
+            f"{_MAX_MODE_INDEX} ({8 * _MAX_MODE_INDEX} nodes)")
+    return (_gauss_legendre(nodes, 0.0, spec.geometry.a),
+            _gauss_legendre(nodes, 0.0, spec.geometry.b))
 
 
 def _cell_grid(spec: GuidedModeSpec):

@@ -53,6 +53,9 @@ __all__ = [
 ]
 
 _SQRT2 = np.sqrt(2.0)
+_EYE = np.eye(3)
+#: standard <-> chiral basis change, the block-Hadamard matrix (module docstring)
+_U = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2, _EYE)
 
 #: Levi-Civita symbol eps[i, j, k]
 LEVI_CIVITA = np.zeros((3, 3, 3))
@@ -102,8 +105,7 @@ def build_spin_matrices() -> SpinMatrixSet:
         S[0, l] = -1j * alpha[l - 1]
         S[l, 0] = 1j * alpha[l - 1]
 
-    U = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2, np.eye(3))
-    return SpinMatrixSet(tau=tau, Sigma=Sigma, alpha=alpha, S=S, U=U)
+    return SpinMatrixSet(tau=tau, Sigma=Sigma, alpha=alpha, S=S, U=_U.copy())
 
 
 # --------------------------------------------------------------------------
@@ -145,8 +147,7 @@ def _basis_change(psi: SixSpinor, source: str, target: str) -> SixSpinor:
     if psi.representation != source:
         raise RepresentationError(
             f"expected a {source} six-spinor, got {psi.representation!r}")
-    U = build_spin_matrices().U
-    return SixSpinor(U @ psi.values, target)
+    return SixSpinor(_U @ psi.values, target)
 
 
 def to_chiral(psi: SixSpinor) -> SixSpinor:
@@ -180,38 +181,50 @@ class HelicityEigensystem:
 
 
 def helicity_eigensystem(n) -> HelicityEigensystem:
-    """Circular polarization basis about the unit vector ``n``.
+    """Circular polarization basis about the unit vector(s) ``n``.
+
+    ``n`` has shape ``(..., 3)``, one direction per row, and every returned
+    vector has the shape of ``n``: a ``(3,)`` direction gives ``(3,)``
+    vectors, an ``(N, 3)`` batch gives ``(N, 3)`` ones.  Each row goes
+    through the same per-row arithmetic, so a batch equals the per-row calls
+    bit for bit.  A row whose norm is not 1 to within 1e-12 raises
+    :class:`DomainError` naming its index.
 
     Convention: at the north pole ``e_+1 = (1, i, 0)/sqrt(2)``; at the south
     pole its complex conjugate.  Directions in each hemisphere inherit the
     nearer pole's vector through the rotation that carries that pole onto
-    ``n`` about the axis ``pole x n``.  ``e_0 = n`` exactly and ``e_-1 =
+    ``n`` about the axis ``pole x n`` (Rodrigues); a direction within 1e-15
+    of its pole keeps the pole's vector.  ``e_0 = n`` exactly and ``e_-1 =
     conj(e_+1)``, so eigen-residuals stay at rounding level (~1e-16) for all
     directions, including within 1e-8 of either pole.
     """
     n = np.asarray(n, dtype=float)
-    if n.shape != (3,):
-        raise DomainError(f"direction needs shape (3,), got {n.shape}")
-    norm = float(np.linalg.norm(n))
-    if abs(norm - 1.0) > 1e-12:
-        raise DomainError(f"direction must be a unit vector, |n| = {norm!r}")
+    if n.ndim == 0 or n.shape[-1] != 3:
+        raise DomainError(f"direction needs shape (..., 3), got {n.shape}")
+    norm = np.sqrt(np.vecdot(n, n))
+    bad = ~(np.abs(norm - 1.0) <= 1e-12)
+    if np.any(bad):
+        row = tuple(int(i) for i in np.argwhere(bad)[0])
+        where = f" at index {row}" if row else ""
+        raise DomainError(f"direction{where} must be a unit vector, "
+                          f"|n| = {float(norm[row])!r}")
 
-    north = n[2] >= 0.0
-    pole = np.array([0.0, 0.0, 1.0 if north else -1.0])
-    base = np.array([1.0, 1j if north else -1j, 0.0]) / _SQRT2
+    sign = np.where(n[..., 2] >= 0.0, 1.0, -1.0)[..., None]
+    pole = sign * _EYE[2]
+    base = (_EYE[0] + 1j * sign * _EYE[1]) / _SQRT2
 
     axis = np.cross(pole, n)
-    sin_t = float(np.linalg.norm(axis))
-    cos_t = float(pole @ n)
-    if sin_t < 1e-15:
-        e_plus = base
-    else:
-        u = axis / sin_t
-        K = np.array([[0.0, -u[2], u[1]],
-                      [u[2], 0.0, -u[0]],
-                      [-u[1], u[0], 0.0]])
-        R = np.eye(3) + sin_t * K + (1.0 - cos_t) * (K @ K)
-        e_plus = R @ base
+    # vecdot rounds as np.dot does, which keeps e_+1 bit-identical to the
+    # single-direction np.dot form; a sum over the last axis moves ~8% of rows
+    sin_t = np.sqrt(np.vecdot(axis, axis))
+    cos_t = np.vecdot(pole, n)
+    at_pole = sin_t < 1e-15
+    u = axis / np.where(at_pole, 1.0, sin_t)[..., None]
+    K = np.cross(_EYE, u[..., None, :])  # K @ v = u x v
+    R = (_EYE + sin_t[..., None, None] * K
+         + (1.0 - cos_t)[..., None, None] * (K @ K))
+    e_plus = np.where(at_pole[..., None], base,
+                      np.einsum("...ij,...j->...i", R, base))
     return HelicityEigensystem(direction=n, e_plus=e_plus,
                                e_zero=n.astype(complex), e_minus=np.conj(e_plus))
 
@@ -241,6 +254,9 @@ def decompose_polarization(vec, n) -> PolarizationCoefficients:
     ``|c_lam|`` and the imbalance ``|c_+1|^2 - |c_-1|^2`` are convention-free.
     """
     basis = n if isinstance(n, HelicityEigensystem) else helicity_eigensystem(n)
+    if basis.e_plus.shape != (3,):
+        raise DomainError(
+            f"decomposition needs one direction, got shape {basis.direction.shape}")
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (3,):
         raise ValueError(f"expected a 3-vector, got shape {vec.shape}")

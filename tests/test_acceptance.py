@@ -257,12 +257,12 @@ def test_criterion_09_spin_matrix_algebra():
         dirs = np.vstack([dirs, [[0, 0, 1.0], [0, 0, -1.0]],
                           [[1e-10, -1e-10, math.sqrt(1 - 2e-20)]],
                           [[-1e-10, 1e-10, -math.sqrt(1 - 2e-20)]]])
-        for n in dirs:
-            basis = helicity_eigensystem(n)
-            matrix = np.einsum("k,kab->ab", n, sms.tau)
-            for lam in (1, 0, -1):
-                e = basis.vector(lam)
-                assert np.max(np.abs(matrix @ e - lam * e)) <= 1e-13
+        basis = helicity_eigensystem(dirs)
+        matrices = np.einsum("ik,kab->iab", dirs, sms.tau)
+        for lam in (1, 0, -1):
+            e = basis.vector(lam)
+            applied = np.einsum("iab,ib->ia", matrices, e)
+            assert np.max(np.abs(applied - lam * e)) <= 1e-13
 
         s2 = math.sqrt(2.0)
         for n, expected in [

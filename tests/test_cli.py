@@ -398,6 +398,32 @@ def test_out_of_range_spec_fields_are_named(args, field, capsys):
     assert _config_error(args, capsys).startswith(f"config error: {field} ")
 
 
+@pytest.mark.parametrize("to_file", [False, True])
+def test_oversized_mode_index_is_a_config_error(to_file, tmp_path):
+    path = tmp_path / "report.json"
+    target = str(path) if to_file else "-"
+    result = run_cli("report", "--m", "100000000000000000000", "--output", target)
+    assert result.returncode == 1
+    assert result.stdout == "" and "Traceback" not in result.stderr
+    assert result.stderr == (
+        "config error: mode indices m = 100000000000000000000, n = 0 need "
+        "800000000000000000000 Gauss-Legendre nodes per transverse axis; the "
+        "quadrature supports max(m, n) <= 200 (1600 nodes)\n")
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("args, residual", [
+    (["--kind", "surface", "--eta", "1e20"], "dispersion"),
+    (["--family", "TM", "--m", "1", "--n", "1", "--length", "1e20"], "klein_gordon"),
+    (["--family", "TM", "--m", "1", "--n", "1", "--omega", "1e20"], "klein_gordon"),
+])
+def test_residuals_hold_at_extreme_scales(args, residual, capsys):
+    assert main(["report", *args]) == 0
+    residuals = json.loads(capsys.readouterr().out)["residuals"]
+    assert residuals[residual] <= 1e-9
+    assert max(residuals.values()) <= 1e-9
+
+
 _EXTREME = st.builds("{}e{}{}".format, st.sampled_from([1, 3]),
                      st.sampled_from("+-"), st.integers(50, 102))
 

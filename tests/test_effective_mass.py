@@ -82,6 +82,21 @@ def test_dispersion_residual_for_surface_wave(make_surface):
     assert dispersion_residual(spec, k_z=0.99 * spec.k_z) > 1e-3
 
 
+def test_dispersion_residual_divides_by_its_largest_term(make_guided, make_surface):
+    # a propagating guided mode: omega^2 is the largest term, so the
+    # residual is the plain |omega^2 - c^2 k_z^2 - omega_c^2| / omega^2
+    spec = make_guided("TE", 2, 1, ratio=1.3)
+    k_z = float(np.real(spec.k_z))
+    plain = abs(spec.omega**2 - SI.c**2 * k_z**2 - spec.omega_c**2) / spec.omega**2
+    assert dispersion_residual(spec) == plain
+    # a surface wave with eta = 1e20: c^2 k_z^2 ~ eta^2 omega^2 is the scale
+    spec = make_surface("TM", eta=1e20)
+    assert dispersion_residual(spec) <= 1e-9
+    # 1% off-branch: |1 - 1.01^2| c^2 k_z^2 over the now largest 1.01^2 c^2 k_z^2
+    off = dispersion_residual(spec, k_z=1.01 * spec.k_z)
+    assert_allclose(off, 0.0201 / 1.0201, rtol=1e-9)
+
+
 def test_five_point_stencil_on_reference_function():
     # d^2/dx^2 sin(3x) = -9 sin(3x); the 5-point formula is 4th order
     h = 1e-3
@@ -95,6 +110,18 @@ def test_longitudinal_components_obey_massive_wave_equation(make_guided):
     for family, m, n in [("TM", 1, 1), ("TM", 2, 2), ("TE", 1, 0)]:
         spec = make_guided(family, m, n, ratio=SQRT2)
         assert klein_gordon_stencil_residual(spec) <= 1e-6
+
+
+@pytest.mark.parametrize("field, value", [("length", 1e20), ("omega", 1e20)])
+def test_stencil_residual_holds_at_any_scale(make_guided, field, value):
+    # the stencil is centred a tenth of a guided wavelength along z, so
+    # neither a huge cell nor a huge frequency leaves its steps unresolved
+    spec = make_guided("TM", 1, 1)
+    if field == "length":
+        spec = replace(spec, geometry=replace(spec.geometry, length=value))
+    else:
+        spec = replace(spec, omega=value)
+    assert klein_gordon_stencil_residual(spec) <= 1e-9
 
 
 def test_wave_equation_stencil_requires_propagation(make_guided):

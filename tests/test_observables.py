@@ -238,6 +238,16 @@ def test_surface_truncation_guard(make_surface):
         integrate_surface(make_surface(), x_max_kappa=8.0)
 
 
+@pytest.mark.parametrize("family, m, n", [("TE", 201, 0), ("TM", 1, 300),
+                                          ("TE", 10**20, 3)])
+def test_guided_grid_is_bounded(make_guided, family, m, n):
+    spec = make_guided(family, m, n, ratio=1.5)
+    nodes = 8 * max(m, n)
+    for integrate in (integrate_guided, ellipticity_guided):
+        with pytest.raises(ResolutionError, match=rf"m = {m}, n = {n} need {nodes} "):
+            integrate(spec)
+
+
 def test_surface_totals_subluminal(make_surface):
     obs = integrate_surface(make_surface("TM", eta=2.0, phi_deg=70.0))
     assert obs.W > abs(obs.P_z) * SI.c

@@ -199,6 +199,62 @@ def test_eigensystem_rejects_non_unit_directions():
         helicity_eigensystem(np.array([0.0, 0.0, 2.0]))
 
 
+def _batch_directions():
+    """Mixed hemispheres, the exact poles and rows within 1e-9 of either pole."""
+    rng = np.random.default_rng(53)
+    dirs = rng.normal(size=(200, 3))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    t = rng.uniform(0.0, 1e-9, 8)
+    ph = rng.uniform(0.0, 2.0 * math.pi, 8)
+    near = [np.stack([t * np.cos(ph), t * np.sin(ph), sign * np.sqrt(1.0 - t * t)],
+                     axis=1) for sign in (1.0, -1.0)]
+    poles = [[0.0, 0.0, 1.0], [0.0, 0.0, -1.0], [-0.0, -0.0, -1.0],
+             [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]]
+    return np.vstack([dirs, *near, poles])
+
+
+def test_batched_eigensystem_equals_per_row_calls_bit_for_bit():
+    dirs = _batch_directions()
+    batch = helicity_eigensystem(dirs)
+    assert batch.e_plus.shape == batch.e_zero.shape == batch.e_minus.shape == dirs.shape
+    for i, n in enumerate(dirs):
+        single = helicity_eigensystem(n)
+        assert single.e_plus.shape == (3,)
+        for name in ("e_plus", "e_zero", "e_minus"):
+            got, want = getattr(batch, name)[i], getattr(single, name)
+            assert got.tobytes() == want.tobytes(), (i, name)
+    # leading axes are only a batch: a (2, 110, 3) stack gives the same rows
+    stacked = helicity_eigensystem(dirs[:220].reshape(2, 110, 3))
+    assert stacked.e_plus.reshape(-1, 3).tobytes() == batch.e_plus[:220].tobytes()
+
+
+def test_batched_eigensystem_keeps_the_pole_vectors():
+    batch = helicity_eigensystem(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0]]))
+    assert batch.e_plus.tolist() == [[1 / S2, 1j / S2, 0.0], [1 / S2, -1j / S2, 0.0]]
+
+
+@pytest.mark.parametrize("shape", [(3, 2), (2,), (4,), ()])
+def test_batched_eigensystem_rejects_a_bad_trailing_shape(shape):
+    with pytest.raises(DomainError, match=r"\(\.\.\., 3\)"):
+        helicity_eigensystem(np.ones(shape))
+
+
+@pytest.mark.parametrize("bad", [[0.0, 0.0, 1.0 + 1e-9], [0.0, 0.0, 0.0],
+                                 [math.nan, 0.0, 1.0]])
+def test_batched_eigensystem_names_the_non_unit_row(bad):
+    dirs = _batch_directions()
+    dirs[7] = bad
+    with pytest.raises(DomainError, match=r"index \(7,\)"):
+        helicity_eigensystem(dirs)
+    with pytest.raises(DomainError, match=r"index \(1, 2\)"):
+        helicity_eigensystem(dirs[:10].reshape(2, 5, 3))
+
+
+def test_decomposition_needs_a_single_direction():
+    with pytest.raises(DomainError):
+        decompose_polarization(np.ones(3), np.eye(3))
+
+
 # ---------------------------------------------------------------------------
 # polarization decomposition
 
