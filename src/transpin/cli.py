@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import json
 import math
 import sys
@@ -52,24 +53,35 @@ __all__ = ["RunConfig", "main"]
 
 CSV_HEADER = "x,y,sx,sy,sz,mag"
 
-_KEY_TYPES: dict[str, type] = {
-    "kind": str, "family": str, "units": str, "normalize": str,
-    "output": str,
-    "direction": int, "m": int, "n": int, "nx": int, "ny": int,
-    "combine-spins": bool,
-    "amplitude": float, "n-quanta": float,
-    "a": float, "b": float, "length": float,
-    "omega": float, "omega-ratio": float,
-    "eta": float, "phi-deg": float, "area": float,
-    "x-max-kappa": float, "z-periods": float,
-}
+_CONSTANTS = {"si": SI, "natural": NATURAL}
 
-_DEFAULTS: dict[str, Any] = {
-    "kind": "guided", "family": "TE", "units": "si", "normalize": "amplitude",
-    "output": "-", "direction": 1, "m": 1, "n": 0, "nx": 41, "ny": 21,
-    "combine-spins": False, "amplitude": 1.0,
-    "a": 1.0, "b": 1.0, "length": 1.0,
-    "eta": 1.5, "phi-deg": 60.0, "area": 1.0, "z-periods": 1.0,
+#: Every config key, in flag order: ``key -> (type, default, allowed values,
+#: flag help)``.  A default of ``None`` leaves the key unset.
+_KEYS: dict[str, tuple[type, Any, tuple | None, str | None]] = {
+    "kind": (str, "guided", ("guided", "surface"), None),
+    "family": (str, "TE", ("TM", "TE"), None),
+    "m": (int, 1, None, None),
+    "n": (int, 0, None, None),
+    "a": (float, 1.0, None, "broad wall size (m)"),
+    "b": (float, 1.0, None, "narrow wall size (m)"),
+    "length": (float, 1.0, None, None),
+    "omega": (float, None, None, "angular frequency (rad/s)"),
+    "omega-ratio": (float, None, None, "omega as a multiple of the cutoff (guided)"),
+    "amplitude": (float, 1.0, None, None),
+    "n-quanta": (float, None, None, "choose the amplitude holding this many quanta"),
+    "direction": (int, 1, (1, -1), None),
+    "units": (str, "si", tuple(_CONSTANTS), None),
+    "combine-spins": (bool, False, None, "export s = (s_e + s_m)/2 instead of s_e + s_m"),
+    "normalize": (str, "amplitude", ("amplitude", "paper-figures"),
+                  "'paper-figures' fixes pi*k_z*h^2/(2*mu0*omega_c^2*omega) = 1"),
+    "nx": (int, 41, None, None),
+    "ny": (int, 21, None, None),
+    "output": (str, "-", None, "output path, '-' for stdout"),
+    "eta": (float, 1.5, None, "refractive index (surface)"),
+    "phi-deg": (float, 60.0, None, "incidence angle in degrees (surface)"),
+    "area": (float, 1.0, None, "quantization area (m^2)"),
+    "x-max-kappa": (float, None, None, "decay-axis extent in units of 1/kappa"),
+    "z-periods": (float, 1.0, None, "propagation-axis extent in guided wavelengths"),
 }
 
 
@@ -88,51 +100,30 @@ class RunConfig:
 
     @property
     def constants(self) -> PhysicalConstants:
-        units = self.values["units"]
-        if units == "si":
-            return SI
-        if units == "natural":
-            return NATURAL
-        raise ConfigurationError(
-            f"config key 'units' must be 'si' or 'natural', got {units!r}")
+        return _CONSTANTS[self.values["units"]]
 
     @classmethod
     def from_sources(cls, file_config: Mapping[str, Any],
                      flags: Mapping[str, Any]) -> "RunConfig":
         for key, value in file_config.items():
-            if key not in _KEY_TYPES:
+            if key not in _KEYS:
                 raise ConfigurationError(f"unknown config key {key!r}")
             _check_type(key, value)
-        merged = dict(_DEFAULTS)
-        provided = set()
-        for key, value in file_config.items():
-            merged[key] = value
-            provided.add(key)
+        flags = {key: value for key, value in flags.items() if value is not None}
         for key, value in flags.items():
-            if value is None:
-                continue
             _check_type(key, value)
-            merged[key] = value
-            provided.add(key)
-        config = cls(merged, frozenset(provided))
+        defaults = {key: entry[1] for key, entry in _KEYS.items() if entry[1] is not None}
+        config = cls({**defaults, **file_config, **flags}, frozenset([*file_config, *flags]))
         config._validate()
         return config
 
     def _validate(self) -> None:
         v = self.values
-        if v["kind"] not in ("guided", "surface"):
-            raise ConfigurationError(
-                f"config key 'kind' must be 'guided' or 'surface', got {v['kind']!r}")
-        if v["family"] not in ("TM", "TE"):
-            raise ConfigurationError(
-                f"config key 'family' must be 'TM' or 'TE', got {v['family']!r}")
-        if v["direction"] not in (1, -1):
-            raise ConfigurationError(
-                f"config key 'direction' must be 1 or -1, got {v['direction']!r}")
-        if v["normalize"] not in ("amplitude", "paper-figures"):
-            raise ConfigurationError(
-                "config key 'normalize' must be 'amplitude' or 'paper-figures', "
-                f"got {v['normalize']!r}")
+        for key, (_, _, allowed, _) in _KEYS.items():
+            if allowed is not None and v[key] not in allowed:
+                raise ConfigurationError(
+                    f"config key {key!r} must be {' or '.join(map(repr, allowed))}, "
+                    f"got {v[key]!r}")
         if v["nx"] < 2 or v["ny"] < 2:
             raise ConfigurationError("config keys 'nx' and 'ny' must be >= 2")
         if self.was_provided("omega") and self.was_provided("omega-ratio"):
@@ -149,7 +140,6 @@ class RunConfig:
                 raise ConfigurationError(
                     "normalize preset 'paper-figures' fixes the amplitude; "
                     "do not also set 'amplitude' or 'n-quanta'")
-        self.constants  # validates 'units'
 
     # -- spec construction --------------------------------------------------
 
@@ -195,7 +185,7 @@ class RunConfig:
 
 
 def _check_type(key: str, value: Any) -> None:
-    expected = _KEY_TYPES[key]
+    expected = _KEYS[key][0]
     if expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigurationError(
@@ -253,12 +243,22 @@ def _surface_extent(config: RunConfig, key: str, default: float | None = None) -
     return value
 
 
+def _stations(stop: float, num: int) -> Iterator[float]:
+    """``np.linspace(0.0, stop, num).tolist()`` one value at a time, bit for bit.
+
+    A ``num`` too large for a float raises ``OverflowError`` at the call.
+    """
+    step = stop / (num - 1)
+    return itertools.chain((j * step for j in range(num - 1)), (stop,))
+
+
 def _map_rows(config: RunConfig, spec) -> Iterator[str]:
     """Check the whole map, then return an iterator over its CSV text.
 
-    Every check runs before this returns: the extents, and the peak of each
-    spin column, which must be a finite normal float.  The iterator yields
-    the header line and then one chunk per row, so at most a row is held.
+    Every check runs before this returns: the extents, the peak of each
+    spin column, which must be a finite normal float, and the arrays of one
+    row, which must fit in memory.  The iterator yields the header line and
+    then one chunk per row, so at most a row is held.
     """
     nx, ny = config["nx"], config["ny"]
     combine = config["combine-spins"]
@@ -277,17 +277,26 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
         y_max = _surface_extent(config, "z-periods") * 2.0 * math.pi / abs(spec.k_z)
         peaks = {"x_max": x_max, "z_max": y_max, "sy_peak": _surface_peak(spec)}
     _check_float_range(**peaks)
-    xs = np.linspace(0.0, x_max, nx)
-    seconds = np.linspace(0.0, y_max, ny)
-    if not guided:
-        # time-averaged densities carry no z dependence; each row
-        # repeats the decay profile at its z station
-        profile = _value_fields(analytic_spin_surface(spec, xs), combine)
-    x_fields = [repr(x) for x in xs.tolist()]
+    try:
+        xs = np.linspace(0.0, x_max, nx)
+        if not guided:
+            # time-averaged densities carry no z dependence; each row
+            # repeats the decay profile at its z station
+            profile = _value_fields(analytic_spin_surface(spec, xs), combine)
+        x_fields = [repr(x) for x in xs.tolist()]
+    except (ValueError, IndexError, MemoryError) as exc:
+        # numpy refuses a size it cannot allocate with any of these three
+        raise ConfigurationError(
+            "config key 'nx' is too large for one row of the map "
+            f"({str(exc) or type(exc).__name__})") from None
+    try:
+        stations = _stations(y_max, ny)
+    except OverflowError:
+        raise ConfigurationError("config key 'ny' is too large for a float") from None
 
     def rows() -> Iterator[str]:
         yield CSV_HEADER + "\n"
-        for second in seconds.tolist():
+        for second in stations:
             values = (_value_fields(analytic_spin_guided(spec, (xs, np.full(nx, second))),
                                     combine)
                       if guided else profile)
@@ -421,37 +430,13 @@ def cmd_verify(name_filter: str | None, inject_fault: bool) -> int:
 def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="JSON config file; flags override its keys")
-    parser.add_argument("--kind", choices=["guided", "surface"])
-    parser.add_argument("--family", choices=["TM", "TE"])
-    parser.add_argument("--m", type=int)
-    parser.add_argument("--n", type=int)
-    parser.add_argument("--a", type=float, help="broad wall size (m)")
-    parser.add_argument("--b", type=float, help="narrow wall size (m)")
-    parser.add_argument("--length", type=float)
-    parser.add_argument("--omega", type=float, help="angular frequency (rad/s)")
-    parser.add_argument("--omega-ratio", type=float,
-                        help="omega as a multiple of the cutoff (guided)")
-    parser.add_argument("--amplitude", type=float)
-    parser.add_argument("--n-quanta", type=float,
-                        help="choose the amplitude holding this many quanta")
-    parser.add_argument("--direction", type=int, choices=[1, -1])
-    parser.add_argument("--units", choices=["si", "natural"])
-    parser.add_argument("--combine-spins", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="export s = (s_e + s_m)/2 instead of s_e + s_m")
-    parser.add_argument("--normalize", choices=["amplitude", "paper-figures"],
-                        help="'paper-figures' fixes pi*k_z*h^2/(2*mu0*omega_c^2*omega) = 1")
-    parser.add_argument("--nx", type=int)
-    parser.add_argument("--ny", type=int)
-    parser.add_argument("--output", help="output path, '-' for stdout")
-    parser.add_argument("--eta", type=float, help="refractive index (surface)")
-    parser.add_argument("--phi-deg", type=float,
-                        help="incidence angle in degrees (surface)")
-    parser.add_argument("--area", type=float, help="quantization area (m^2)")
-    parser.add_argument("--x-max-kappa", type=float,
-                        help="decay-axis extent in units of 1/kappa")
-    parser.add_argument("--z-periods", type=float,
-                        help="propagation-axis extent in guided wavelengths")
+    for key, (value_type, _, allowed, help_text) in _KEYS.items():
+        if value_type is bool:
+            parser.add_argument(f"--{key}", action=argparse.BooleanOptionalAction,
+                                help=help_text)
+        else:
+            parser.add_argument(f"--{key}", type=value_type, choices=allowed,
+                                help=help_text)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -476,13 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _flags_from_args(args: argparse.Namespace) -> dict[str, Any]:
-    flags = {}
-    for key in _KEY_TYPES:
-        attr = key.replace("-", "_")
-        value = getattr(args, attr, None)
-        if value is not None:
-            flags[key] = value
-    return flags
+    """Every config flag; ``None`` where it was not given."""
+    return {key: getattr(args, key.replace("-", "_")) for key in _KEYS}
 
 
 def main(argv: Sequence[str] | None = None) -> int:

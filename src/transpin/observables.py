@@ -297,6 +297,23 @@ def integrate_surface(spec: SurfaceWaveSpec, x_max_kappa: float = 20.0,
 # closed forms
 
 
+def _ratio(numerator: tuple[float, ...], denominator: tuple[float, ...]) -> float:
+    """``prod(numerator) / prod(denominator)`` on the factors' mantissas.
+
+    The powers of two are applied once at the end, so no partial product
+    underflows, and a result that the plain expression keeps normal has the
+    same bits.  Factors are taken after any ``**``, which does not always
+    round the same on a mantissa.
+    """
+    top = [math.frexp(factor) for factor in numerator]
+    bottom = [math.frexp(factor) for factor in denominator]
+    value = math.prod(m for m, _ in top) / math.prod(m for m, _ in bottom)
+    try:
+        return math.ldexp(value, sum(e for _, e in top) - sum(e for _, e in bottom))
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 def guided_closed_forms(spec: GuidedModeSpec) -> tuple[float, float, float]:
     """Closed-form ``(W, P_z, S_perp)`` of a propagating guided mode."""
     _require_propagating(spec, "closed-form totals")
@@ -306,9 +323,9 @@ def guided_closed_forms(spec: GuidedModeSpec) -> tuple[float, float, float]:
     h2 = spec.amplitude**2
     omega, omega_c = spec.omega, spec.omega_c
     k_z = float(np.real(spec.k_z))
-    W = nu * con.eps0 * omega**2 * V * h2 / (8.0 * omega_c**2)
-    P_z = nu * con.eps0 * omega * k_z * V * h2 / (8.0 * omega_c**2)
-    S_perp = nu * con.eps0 * con.c * k_z * V * h2 / (4.0 * omega_c * omega)
+    W = _ratio((nu, con.eps0, omega**2, V, h2), (8.0, omega_c**2))
+    P_z = _ratio((nu, con.eps0, omega, k_z, V, h2), (8.0, omega_c**2))
+    S_perp = _ratio((nu, con.eps0, con.c, k_z, V, h2), (4.0, omega_c, omega))
     return W, P_z, S_perp
 
 
@@ -329,9 +346,9 @@ def surface_closed_forms(spec: SurfaceWaveSpec) -> tuple[float, float, float]:
     con = spec.constants
     A, h2 = spec.area, spec.amplitude**2
     omega, k_z, kappa = spec.omega, spec.k_z, spec.kappa
-    W = con.eps0 * A * h2 * k_z**2 * con.c**2 / (4.0 * kappa * omega**2)
-    P_z = con.eps0 * A * h2 * k_z / (4.0 * kappa * omega)
-    S_y = con.eps0 * A * h2 * k_z * con.c**2 / (2.0 * omega**3)
+    W = _ratio((con.eps0, A, h2, k_z**2, con.c**2), (4.0, kappa, omega**2))
+    P_z = _ratio((con.eps0, A, h2, k_z), (4.0, kappa, omega))
+    S_y = _ratio((con.eps0, A, h2, k_z, con.c**2), (2.0, omega**3))
     return W, P_z, S_y
 
 

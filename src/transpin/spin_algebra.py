@@ -273,26 +273,25 @@ def decompose_polarization(vec, n) -> PolarizationCoefficients:
 _GENERATOR_LABELS = ("S01", "S02", "S03", "S12", "S13", "S23")
 
 
-def _generator_basis(sms: SpinMatrixSet) -> dict[str, np.ndarray]:
+def _generator_basis() -> dict[str, np.ndarray]:
+    sms = build_spin_matrices()
     return {
         "S01": sms.S[0, 1], "S02": sms.S[0, 2], "S03": sms.S[0, 3],
         "S12": sms.S[1, 2], "S13": sms.S[1, 3], "S23": sms.S[2, 3],
     }
 
 
-def commutator_table(sms: SpinMatrixSet | None = None,
-                     snap_tolerance: float = 1e-12) -> dict:
+def commutator_table() -> dict:
     """Brute-force structure constants of the six independent generators.
 
     For every ordered pair computes ``[A, B]`` and expands it in the
-    generator basis by least squares.  Expansion coefficients within
-    ``snap_tolerance`` of a Gaussian integer are snapped to it (they all
-    are: the algebra closes with coefficients in {0, +/-1, +/-i}).  Returns
+    generator basis by least squares.  Expansion coefficients within 1e-12
+    of a Gaussian integer are snapped to it (they all are: the algebra
+    closes with coefficients in {0, +/-1, +/-i}).  Returns
     ``{"A,B": {label: [re, im], ...}, ...}`` with zero entries omitted,
     plus a ``"residual"`` key recording the worst expansion error.
     """
-    sms = sms or build_spin_matrices()
-    basis = _generator_basis(sms)
+    basis = _generator_basis()
     stack = np.stack([basis[k].ravel() for k in _GENERATOR_LABELS], axis=1)
 
     table: dict = {}
@@ -308,7 +307,7 @@ def commutator_table(sms: SpinMatrixSet | None = None,
             entry = {}
             for label, c in zip(_GENERATOR_LABELS, coeff):
                 snapped = complex(round(c.real), round(c.imag))
-                if abs(c - snapped) > snap_tolerance:
+                if abs(c - snapped) > 1e-12:
                     raise AssertionError(
                         f"[{left},{right}] coefficient {c!r} is not a Gaussian integer")
                 if snapped != 0:
@@ -324,9 +323,8 @@ def load_reference_commutator_table() -> dict:
     return json.loads(text)
 
 
-def generator_closure_rank(sms: SpinMatrixSet | None = None) -> int:
+def generator_closure_rank() -> int:
     """Rank of the vectorized generator set: 6 for a closed 6-dim algebra."""
-    sms = sms or build_spin_matrices()
-    basis = _generator_basis(sms)
+    basis = _generator_basis()
     stack = np.stack([basis[k].ravel() for k in _GENERATOR_LABELS], axis=0)
     return int(np.linalg.matrix_rank(stack, tol=1e-10))

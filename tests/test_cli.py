@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from transpin import analytic_spin_guided, analytic_spin_surface, cli
-from transpin.cli import _KEY_TYPES, CSV_HEADER, RunConfig, main
+from transpin.cli import _KEYS, CSV_HEADER, RunConfig, main
 
 
 def run_cli(*args):
@@ -175,6 +175,26 @@ def test_streamed_map_holds_no_more_than_a_row(tmp_path):
         tracemalloc.stop()
     assert path.stat().st_size > 5_000_000
     assert peak < 2_000_000
+
+
+@pytest.mark.parametrize("stop", [1.0, 0.0102, 0.1, 3.3e-7, 2.0 / 3.0, 1e100, 5e-300])
+def test_stations_equal_linspace_bit_for_bit(stop):
+    for num in (2, 3, 7, 21, 1000, 12345):
+        assert list(cli._stations(stop, num)) == np.linspace(0.0, stop, num).tolist()
+
+
+def test_map_memory_follows_one_row_not_the_row_count(tmp_path):
+    # 200 000 rows: their stations alone are 8.2 MB as a list of floats
+    path = tmp_path / "map.csv"
+    tracemalloc.start()
+    try:
+        assert main(["spinmap", "--kind", "surface", "--nx", "2", "--ny", "200000",
+                     "--output", str(path)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text().count("\n") == 1 + 2 * 200_000
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("mode", [
@@ -416,6 +436,9 @@ def test_oversized_mode_index_is_a_config_error(to_file, tmp_path):
     (["--kind", "surface", "--eta", "1e20"], "dispersion"),
     (["--family", "TM", "--m", "1", "--n", "1", "--length", "1e20"], "klein_gordon"),
     (["--family", "TM", "--m", "1", "--n", "1", "--omega", "1e20"], "klein_gordon"),
+    # the closed-form W once underflowed to 0.0 in h2 * k_z**2
+    (["--kind", "surface", "--omega", "1e-50", "--amplitude", "3e-100"], "W"),
+    (["--kind", "surface", "--omega", "1e-50", "--amplitude", "1e-100"], "W"),
 ])
 def test_residuals_hold_at_extreme_scales(args, residual, capsys):
     assert main(["report", *args]) == 0
@@ -478,6 +501,31 @@ def test_rejected_map_creates_no_output(args, tmp_path, capsys):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--nx", "100000000000000000000"], "config key 'nx' is too large for one row"),
+    (["--nx", str(2**63)], "config key 'nx' is too large for one row"),
+    (["--ny", "1" + "0" * 400], "config key 'ny' is too large for a float"),
+])
+def test_oversized_map_side_is_named(args, message, tmp_path, capsys):
+    path = tmp_path / "map.csv"
+    assert main(["spinmap", *args, "--output", str(path)]) == 1
+    assert capsys.readouterr().err.startswith(f"config error: {message}")
+    assert not path.exists()
+
+
+def test_row_allocation_failure_names_nx(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise MemoryError("Unable to allocate 22.4 GiB")
+
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    path = tmp_path / "map.csv"
+    assert main(["spinmap", "--nx", "3000000000", "--ny", "2", "--output", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: config key 'nx' is too large for one row of the map "
+        "(Unable to allocate 22.4 GiB)\n")
+    assert not path.exists()
+
+
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["guided", "surface"]),
        flags=st.lists(st.sampled_from(["a", "b", "length", "omega", "amplitude",
@@ -503,7 +551,42 @@ def test_extreme_spinmap_flag_pairs_exit_cleanly(kind, flags, values):
             assert rows.shape == (6, 6) and np.all(np.isfinite(rows)), argv
 
 
-@pytest.mark.parametrize("key", sorted(k for k, t in _KEY_TYPES.items() if t is float))
+@pytest.mark.parametrize("key, value, message", [
+    ("kind", "bogus", "config key 'kind' must be 'guided' or 'surface', got 'bogus'"),
+    ("family", "XX", "config key 'family' must be 'TM' or 'TE', got 'XX'"),
+    ("direction", 0, "config key 'direction' must be 1 or -1, got 0"),
+    ("units", "cgs", "config key 'units' must be 'si' or 'natural', got 'cgs'"),
+    ("normalize", "x",
+     "config key 'normalize' must be 'amplitude' or 'paper-figures', got 'x'"),
+])
+def test_config_value_outside_its_choices_is_named(key, value, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({key: value}))
+    assert main(["report", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+def _sample_value(key):
+    """A valid value for ``key`` other than its default."""
+    value_type, default, allowed, _ = _KEYS[key]
+    if allowed is not None:
+        return next(v for v in allowed if v != default)
+    return {bool: True, int: 3, float: 2.5, str: "out.csv"}[value_type]
+
+
+@pytest.mark.parametrize("key", list(_KEYS))
+def test_flag_and_config_entry_give_the_same_config(key):
+    value = _sample_value(key)
+    argv = [f"--{key}"] if value is True else [f"--{key}", str(value)]
+    args = cli._build_parser().parse_args(["report", *argv])
+    from_flag = RunConfig.from_sources({}, cli._flags_from_args(args))
+    from_file = RunConfig.from_sources({key: value}, {})
+    assert from_flag.values == from_file.values
+    assert from_flag.values[key] == value
+    assert from_flag.provided == from_file.provided == {key}
+
+
+@pytest.mark.parametrize("key", sorted(k for k, entry in _KEYS.items() if entry[0] is float))
 def test_config_number_too_large_for_a_float_is_named(key, tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text('{"kind": "surface", "%s": 1%s}' % (key, "0" * 400))

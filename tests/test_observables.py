@@ -190,6 +190,34 @@ def test_surface_quadrature_matches_closed_forms(make_surface, family, eta, phi_
     assert_allclose(obs.S_y, S_y, rtol=1e-9)
 
 
+def test_closed_forms_keep_the_bits_of_the_plain_products(make_guided, make_surface):
+    # the plain products, as written before the mantissa split: the
+    # reference wherever no partial product leaves the normal range
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        con = (SI, NATURAL)[rng.integers(2)]
+        amplitude = 10.0 ** rng.uniform(-6, 6)
+        direction = (1, -1)[rng.integers(2)]
+        family, m, n = [("TM", 1, 1), ("TE", 1, 0), ("TE", 2, 1), ("TM", 3, 2)][rng.integers(4)]
+        spec = make_guided(family, m, n, ratio=rng.uniform(1.01, 4.0), amplitude=amplitude,
+                           direction=direction, constants=con)
+        nu, V, h2 = observables._neumann(spec), spec.geometry.volume, amplitude**2
+        omega, omega_c, k_z = spec.omega, spec.omega_c, float(np.real(spec.k_z))
+        assert guided_closed_forms(spec) == (
+            nu * con.eps0 * omega**2 * V * h2 / (8.0 * omega_c**2),
+            nu * con.eps0 * omega * k_z * V * h2 / (8.0 * omega_c**2),
+            nu * con.eps0 * con.c * k_z * V * h2 / (4.0 * omega_c * omega))
+        spec = make_surface(family, eta=rng.uniform(1.2, 3.0), phi_deg=rng.uniform(50.0, 85.0),
+                            omega=10.0 ** rng.uniform(10, 16) if con is SI else rng.uniform(0.1, 10),
+                            amplitude=amplitude, area=10.0 ** rng.uniform(-8, 0),
+                            direction=direction, constants=con)
+        A, omega, k_z, kappa = spec.area, spec.omega, spec.k_z, spec.kappa
+        assert surface_closed_forms(spec) == (
+            con.eps0 * A * h2 * k_z**2 * con.c**2 / (4.0 * kappa * omega**2),
+            con.eps0 * A * h2 * k_z / (4.0 * kappa * omega),
+            con.eps0 * A * h2 * k_z * con.c**2 / (2.0 * omega**3))
+
+
 def test_surface_spin_quantization(make_surface):
     for n_quanta in (1, 3):
         spec = make_surface("TE", eta=1.45, phi_deg=65.0)

@@ -1,15 +1,24 @@
-"""The README's library examples run as written."""
+"""The README's examples run, and its command lines parse, as written."""
 
+import json
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from transpin import cli
+
 README = Path(__file__).resolve().parent.parent / "README.md"
-BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(encoding="utf-8"),
-                    flags=re.DOTALL | re.MULTILINE)
+TEXT = README.read_text(encoding="utf-8")
+BLOCKS = re.findall(r"^```python\n(.*?)^```", TEXT, flags=re.DOTALL | re.MULTILINE)
+SH_BLOCKS = re.findall(r"^```sh\n(.*?)^```", TEXT, flags=re.DOTALL | re.MULTILINE)
+# continuations joined, comments stripped
+COMMANDS = [" ".join(line.split("#")[0].split())
+            for block in SH_BLOCKS for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("transpin ")]
 
 
 def test_readme_has_python_examples():
@@ -20,3 +29,19 @@ def test_readme_has_python_examples():
 def test_readme_python_block_runs(source):
     proc = subprocess.run([sys.executable, "-c", source], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_has_command_lines():
+    assert COMMANDS
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_command_line_parses(command):
+    cli._build_parser().parse_args(shlex.split(command)[1:])
+
+
+def test_readme_config_example_is_accepted():
+    section = TEXT[TEXT.index("### Configuration"):]
+    text = re.search(r"<<'EOF'\n(.*?)^EOF$", section, flags=re.DOTALL | re.MULTILINE)[1]
+    keys = json.loads(text)
+    assert cli.RunConfig.from_sources(keys, {}).provided == set(keys)

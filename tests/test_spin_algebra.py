@@ -1,5 +1,6 @@
 """Spin-1 matrices, six-component spinors, helicity bases, decomposition."""
 
+import inspect
 import math
 
 import numpy as np
@@ -105,6 +106,11 @@ def test_frozen_commutator_fixture_is_reproducible():
 
 def test_six_generators_are_linearly_independent():
     assert generator_closure_rank() == 6
+
+
+def test_algebra_closure_functions_take_no_parameters():
+    for func in (commutator_table, generator_closure_rank):
+        assert not inspect.signature(func).parameters
 
 
 # ---------------------------------------------------------------------------
