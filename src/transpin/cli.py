@@ -16,7 +16,8 @@ Subcommands
 
 Configuration is a single JSON object with kebab-case keys; every key has a
 matching command-line flag, and flags override the file.  Exit codes: 0
-success, 1 configuration error, 2 I/O error, 3 verification failure.
+success (also when the reader of standard output closes it early), 1
+configuration error, 2 I/O error, 3 verification failure.
 
 Spin-map rows are written in y-major order (x fastest), each as soon as it
 is formatted, and floats in Python's shortest round-trip representation, so
@@ -30,6 +31,7 @@ import contextlib
 import itertools
 import json
 import math
+import os
 import sys
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Iterator, Mapping, Sequence, TextIO
@@ -470,12 +472,22 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            return cmd_verify(args.filter, args.inject_fault)
-        file_config = _load_config_file(args.config)
-        config = RunConfig.from_sources(file_config, _flags_from_args(args))
-        if args.command == "spinmap":
-            return cmd_spinmap(config)
-        return cmd_report(config)
+            code = cmd_verify(args.filter, args.inject_fault)
+        else:
+            file_config = _load_config_file(args.config)
+            config = RunConfig.from_sources(file_config, _flags_from_args(args))
+            code = cmd_spinmap(config) if args.command == "spinmap" else cmd_report(config)
+        # a reader that closes early then shows here, not at interpreter exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of standard output stopped reading: what it read is
+        # intact, so this is a normal end.  Pointing the descriptor at
+        # os.devnull keeps the flush at interpreter exit quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 2

@@ -1,8 +1,10 @@
 """Integrated observables: energy, momentum, total transverse spin, quantization.
 
-Guided totals are tensor-product Gauss-Legendre quadratures over the cell
-``[0,a] x [0,b] x [0,L]``; surface totals are quadratures over the decay
-axis, truncated where the ``exp(-2 kappa x)`` tail is negligible, times the
+Guided totals are tensor-product Gauss-Legendre quadratures over the cross
+section ``[0,a] x [0,b]`` in the plane ``z = 0``, times the length ``L``:
+the densities of a propagating mode do not depend on z.  Surface totals are
+Gauss-Legendre quadratures in ``u = exp(-2 kappa x)`` over the decay axis,
+truncated where the ``exp(-2 kappa x)`` tail is negligible, times the
 transverse quantization area.  The integrands are the pointwise densities of
 :mod:`transpin.spin`, so the totals are independent of the closed forms they
 are tested against.
@@ -68,7 +70,7 @@ __all__ = [
 
 #: quanta within this distance of an integer are reported as that integer
 _QUANTA_SNAP = 1e-6
-#: largest max(m, n) the guided quadrature grid is built for (~1.6 GB there)
+#: largest max(m, n) the guided quadrature plane is built for (~800 MB there)
 _MAX_MODE_INDEX = 200
 
 
@@ -146,11 +148,11 @@ def _transverse_rules(spec: GuidedModeSpec):
     """Gauss-Legendre ``(nodes, weights)`` rules on ``[0, a]`` and ``[0, b]``.
 
     Each axis gets ``max(8*max(m, n), 20)`` nodes, the one transverse rule
-    of every guided quadrature.  The grid's memory grows as ``max(m, n)^2``
-    (about 400 MB at ``max(m, n) = 100``, about 1.6 GB at 200), and
-    ``max(m, n)`` above ``_MAX_MODE_INDEX`` raises :class:`ResolutionError`.
-    The bound keeps the node count an index-sized integer; it does not keep
-    memory small.
+    of every guided quadrature.  The z = 0 plane of :func:`_cell_grid` grows
+    as ``max(m, n)^2`` (about 230 MB for the whole process at ``max(m, n) =
+    100``, about 800 MB at 200), and ``max(m, n)`` above ``_MAX_MODE_INDEX``
+    raises :class:`ResolutionError`.  The bound keeps the node count an
+    index-sized integer; it does not keep memory small.
     """
     m, n = spec.index.m, spec.index.n
     nodes = max(8 * max(m, n), 20)
@@ -164,29 +166,28 @@ def _transverse_rules(spec: GuidedModeSpec):
 
 
 def _cell_grid(spec: GuidedModeSpec):
-    """Gauss-Legendre rules on the cell ``[0,a] x [0,b] x [0,L]`` and the phasor on their grid.
+    """The transverse rules and the phasor on their grid in the plane ``z = 0``.
 
-    Returns ``(rules, field)``: ``rules`` holds one ``(nodes, weights)`` pair
-    per axis, and ``field`` has shape ``(nx, ny, 2, 3)``.  The integrand of a
-    propagating mode is z-independent, so two axial nodes suffice.
+    Returns ``(rules, field)``: ``rules`` is the ``(x_rule, y_rule)`` pair of
+    :func:`_transverse_rules`, and ``field`` has shape ``(nx, ny, 3)``.  A
+    propagating mode carries ``exp(i k_z z)`` with real ``k_z``, so every
+    bilinear density is the same on each plane, and a cell integral is
+    ``L`` times the plane integral.
     """
-    rules = (*_transverse_rules(spec), _gauss_legendre(2, 0.0, spec.geometry.length))
-    (xs, _), (ys, _), (zs, _) = rules
-    field = guided_field_phasor(
-        spec, (xs[:, None, None], ys[None, :, None], zs[None, None, :]))
-    return rules, field
+    rules = _transverse_rules(spec)
+    (xs, _), (ys, _) = rules
+    return rules, guided_field_phasor(spec, (xs[:, None], ys[None, :], 0.0))
 
 
-def _ellipse_intensities(spec: GuidedModeSpec, x_rule, y_rule) -> tuple[float, float]:
+def _ellipse_intensities(spec: GuidedModeSpec, rules, field) -> tuple[float, float]:
     """Cross-section mean square transverse/longitudinal field amplitudes.
 
     Electric field for TM, magnetic for TE (each family's longitudinal
-    component lives in that field), averaged over ``z = 0`` with the
-    ``(nodes, weights)`` rules ``x_rule`` on ``[0, a]`` and ``y_rule`` on
-    ``[0, b]``.  Returns ``(h_perp^2, h_long^2)``.
+    component lives in that field), averaged over the plane of
+    :func:`_cell_grid`, whose ``rules`` and ``field`` it takes.  Returns
+    ``(h_perp^2, h_long^2)``.
     """
-    (xs, wx), (ys, wy) = x_rule, y_rule
-    field = guided_field_phasor(spec, (xs[:, None], ys[None, :], 0.0))
+    (_, wx), (_, wy) = rules
     vec = field.B if spec.index.family is ModeFamily.TE else field.E
     perp = np.abs(vec[..., 0]) ** 2 + np.abs(vec[..., 1]) ** 2
     lon = np.abs(vec[..., 2]) ** 2
@@ -202,7 +203,8 @@ def integrate_guided(spec: GuidedModeSpec,
     """Quadrature totals ``(W, P_z, S_perp, ...)`` of a propagating guided mode.
 
     The rule is ``max(8*max(m, n), 20)`` Gauss-Legendre nodes per transverse
-    axis and two axial nodes, for ~1e-14 relative accuracy.
+    axis on the plane ``z = 0``, times the length ``L`` (the densities do
+    not depend on z), for ~1e-14 relative accuracy.
 
     Parameters
     ----------
@@ -223,18 +225,19 @@ def integrate_guided(spec: GuidedModeSpec,
     con = spec.constants
     omega = spec.omega
     k_z = float(np.real(spec.k_z))
+    length = spec.geometry.length
 
     rules, field = _cell_grid(spec)
-    (_, wx), (_, wy), (_, wz) = rules
+    (_, wx), (_, wy) = rules
     # an overflow shows as inf or nan in a total, which the range checks name
     with np.errstate(over="ignore", invalid="ignore"):
         w_den = energy_density(field, con)
         p_den = momentum_density(field, con)[..., 2]
-        W = float(np.einsum("i,j,k,ijk->", wx, wy, wz, w_den))
-        P_z = float(np.einsum("i,j,k,ijk->", wx, wy, wz, p_den))
+        W = length * float(np.einsum("i,j,ij->", wx, wy, w_den))
+        P_z = length * float(np.einsum("i,j,ij->", wx, wy, p_den))
         # before the intensities, which overflow whenever W does
         _check_float_range(W=W)
-        h_perp2, h_long2 = _ellipse_intensities(spec, rules[0], rules[1])
+        h_perp2, h_long2 = _ellipse_intensities(spec, rules, field)
     sin_2theta = 2.0 * math.sqrt(h_perp2 * h_long2) / (h_perp2 + h_long2)
     S_perp = math.copysign(1.0, k_z) * (W / omega) * sin_2theta
     if combine_spins:
@@ -257,10 +260,14 @@ def integrate_surface(spec: SurfaceWaveSpec, x_max_kappa: float = 20.0,
                       combine_spins: bool = False) -> SurfaceObservables:
     """Quadrature totals of a surface wave over ``x in [0, x_max_kappa/kappa]``.
 
-    The rule is 64 Gauss-Legendre nodes on that interval.  The truncation
-    tail is bounded by ``exp(-2*x_max_kappa)`` relative; the default depth
-    of 20 decay lengths leaves ~4e-18.  Depths below 12 cannot reach the
-    1e-9 contract and raise :class:`ResolutionError`.
+    The rule is 64 Gauss-Legendre nodes in ``u = exp(-2*kappa*x)`` on
+    ``[exp(-2*x_max_kappa), 1]``, so ``x = -ln(u)/(2 kappa)`` and ``dx =
+    du/(2 kappa u)``.  Every density is a constant times ``exp(-2 kappa x)
+    = u``, so the integrand in ``u`` is constant and the rule is exact at
+    any depth.  What is left is the truncation tail, ``exp(-2*x_max_kappa)``
+    relative; the default depth of 20 decay lengths leaves ~4e-18.  Depths
+    below 12 cannot reach the 1e-9 contract and raise
+    :class:`ResolutionError`.
     A total or ``n_quanta`` outside the float range raises ``ValueError``.
     """
     if x_max_kappa < 12.0:
@@ -269,7 +276,9 @@ def integrate_surface(spec: SurfaceWaveSpec, x_max_kappa: float = 20.0,
             f"tail of {math.exp(-2.0 * x_max_kappa):.2e}; use at least 12")
     con = spec.constants
     omega = spec.omega
-    xs, wx = _gauss_legendre(64, 0.0, x_max_kappa / spec.kappa)
+    us, wu = _gauss_legendre(64, math.exp(-2.0 * x_max_kappa), 1.0)
+    xs = -np.log(us) / (2.0 * spec.kappa)
+    wx = wu / (2.0 * spec.kappa * us)
     field = surface_field_phasor(spec, (xs, 0.0, 0.0))
 
     A = spec.area
@@ -441,7 +450,7 @@ def ellipticity_guided(spec: GuidedModeSpec) -> tuple[float, float]:
     independently established identity.
     """
     _require_propagating(spec, "ellipticity")
-    h_perp2, h_long2 = _ellipse_intensities(spec, *_transverse_rules(spec))
+    h_perp2, h_long2 = _ellipse_intensities(spec, *_cell_grid(spec))
     e = math.sqrt(h_long2 / h_perp2)
     return e, math.atan(e)
 
@@ -474,8 +483,8 @@ def balance_integral(spec: GuidedModeSpec, b_amplitude_scale: float = 1.0) -> fl
     """
     _require_propagating(spec, "balance integral")
     con = spec.constants
-    ((_, wx), (_, wy), (_, wz)), field = _cell_grid(spec)
+    ((_, wx), (_, wy)), field = _cell_grid(spec)
     e2 = np.sum(np.abs(field.E) ** 2, axis=-1)
     b2 = np.sum(np.abs(field.B) ** 2, axis=-1) * b_amplitude_scale**2
     integrand = 0.25 * con.eps0 * (e2 - con.c**2 * b2)
-    return float(np.einsum("i,j,k,ijk->", wx, wy, wz, integrand))
+    return spec.geometry.length * float(np.einsum("i,j,ij->", wx, wy, integrand))

@@ -376,6 +376,22 @@ def test_unwritable_output_is_an_io_error(tmp_path, capsys):
                  "--output", str(missing_dir)]) == 2
 
 
+def test_reader_that_closes_early_ends_normally():
+    # the map is megabytes, far more than a pipe holds, so the writes made
+    # after the reader has gone fail inside main
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "transpin", "spinmap", "--nx", "101", "--ny", "2001"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        assert proc.stdout.readline() == f"{CSV_HEADER}\n".encode()
+    finally:
+        proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "0"])
 @pytest.mark.parametrize("key", ["x-max-kappa", "z-periods"])
 def test_surface_map_extent_must_be_finite_and_positive(key, value, capsys):
@@ -416,6 +432,20 @@ def _config_error(args, capsys):
 ])
 def test_out_of_range_spec_fields_are_named(args, field, capsys):
     assert _config_error(args, capsys).startswith(f"config error: {field} ")
+
+
+@pytest.mark.parametrize("depth", ["20", "400", "1000", "1e4", "1e6"])
+def test_surface_report_is_exact_at_every_depth(depth, capsys):
+    assert main(["report", "--kind", "surface", "--x-max-kappa", depth]) == 0
+    residuals = json.loads(capsys.readouterr().out)["residuals"]
+    assert max(residuals.values()) <= 1e-9, residuals
+
+
+def test_surface_report_at_the_depth_floor_misses_only_the_tail(capsys):
+    assert main(["report", "--kind", "surface", "--x-max-kappa", "12"]) == 0
+    residuals = json.loads(capsys.readouterr().out)["residuals"]
+    for total in ("W", "P_z", "S_y"):
+        assert residuals[total] == pytest.approx(math.exp(-24.0), rel=1e-3)
 
 
 @pytest.mark.parametrize("to_file", [False, True])

@@ -2,6 +2,7 @@
 
 import inspect
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -274,6 +275,48 @@ def test_guided_grid_is_bounded(make_guided, family, m, n):
     for integrate in (integrate_guided, ellipticity_guided):
         with pytest.raises(ResolutionError, match=rf"m = {m}, n = {n} need {nodes} "):
             integrate(spec)
+
+
+# ---------------------------------------------------------------------------
+# one z = 0 plane per guided quadrature
+
+
+@pytest.mark.parametrize("quadrature", [integrate_guided, ellipticity_guided,
+                                        balance_integral])
+def test_each_guided_quadrature_evaluates_one_plane(make_guided, monkeypatch, quadrature):
+    phasor = observables.guided_field_phasor
+    grids = []
+
+    def spy(spec, point, t=0.0):
+        grids.append(np.broadcast(*point).shape)
+        assert np.all(np.asarray(point[2]) == 0.0)
+        return phasor(spec, point, t)
+
+    monkeypatch.setattr(observables, "guided_field_phasor", spy)
+    quadrature(make_guided("TE", 3, 2))
+    assert grids == [(24, 24)]  # max(8 * max(m, n), 20) nodes per axis
+
+
+def test_guided_totals_are_linear_in_length_bit_for_bit(make_guided):
+    for family, m, n in [("TM", 1, 1), ("TE", 1, 0), ("TE", 2, 1), ("TM", 3, 7)]:
+        spec = make_guided(family, m, n, ratio=1.3, amplitude=0.37)
+        geometry = replace(spec.geometry, length=2.0 * spec.geometry.length)
+        one = integrate_guided(spec)
+        two = integrate_guided(replace(spec, geometry=geometry))
+        assert (two.W, two.P_z, two.S_perp) == (2.0 * one.W, 2.0 * one.P_z, 2.0 * one.S_perp)
+
+
+def test_guided_quadrature_memory_follows_one_plane(make_guided):
+    spec = make_guided("TE", 48, 5, ratio=1.5)
+    nodes = 8 * 48
+    tracemalloc.start()
+    try:
+        integrate_guided(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # E and B on one plane hold six complex128 components: 96 B per node
+    assert peak <= 4 * nodes**2 * 96
 
 
 def test_surface_totals_subluminal(make_surface):
