@@ -28,9 +28,9 @@ from .modes import (FieldPhasor, GuidedModeSpec, ModeFamily, ModeIndex,
                     surface_field_phasor)
 from .observables import (GuidedObservables, SurfaceObservables,
                           amplitude_for_quanta, balance_integral,
-                          ellipticity_guided, ellipticity_surface,
-                          group_velocity_fd, guided_closed_forms,
-                          integrate_guided, integrate_surface,
+                          ellipticity_surface, group_velocity_fd,
+                          guided_closed_forms, integrate_guided,
+                          integrate_surface,
                           quantized_transverse_spin_guided,
                           quantized_transverse_spin_surface,
                           surface_closed_forms)
@@ -61,8 +61,8 @@ __all__ = [
     "GuidedObservables", "SurfaceObservables", "integrate_guided",
     "integrate_surface", "guided_closed_forms", "surface_closed_forms",
     "amplitude_for_quanta", "quantized_transverse_spin_guided",
-    "quantized_transverse_spin_surface", "ellipticity_guided",
-    "ellipticity_surface", "balance_integral", "group_velocity_fd",
+    "quantized_transverse_spin_surface", "ellipticity_surface",
+    "balance_integral", "group_velocity_fd",
     "GuidedMassReport", "SurfaceMassReport", "FourMomentumSplit",
     "guided_mass_report", "surface_mass_report", "dispersion_residual",
     "klein_gordon_stencil_residual", "four_momentum_split", "minkowski_dot",

@@ -6,8 +6,9 @@ the densities of a propagating mode do not depend on z.  Surface totals are
 Gauss-Legendre quadratures in ``u = exp(-2 kappa x)`` over the decay axis,
 truncated where the ``exp(-2 kappa x)`` tail is negligible, times the
 transverse quantization area.  The integrands are the pointwise densities of
-:mod:`transpin.spin`, so the totals are independent of the closed forms they
-are tested against.
+:mod:`transpin.spin`, bit for bit (a guided plane forms ``|E_i|^2``,
+``|B_i|^2`` and ``Re(E x B*)_z`` once and sums them as those densities do),
+so the totals are independent of the closed forms they are tested against.
 
 Closed forms (propagating modes; ``V = a*b*L``, ``nu = 2`` for TE_m0 and 1
 otherwise -- the n = 0 modes lose one transverse average of 1/2)::
@@ -63,14 +64,13 @@ __all__ = [
     "amplitude_for_quanta",
     "quantized_transverse_spin_guided",
     "quantized_transverse_spin_surface",
-    "ellipticity_guided",
     "ellipticity_surface",
     "balance_integral",
 ]
 
 #: quanta within this distance of an integer are reported as that integer
 _QUANTA_SNAP = 1e-6
-#: largest max(m, n) the guided quadrature plane is built for (~800 MB there)
+#: largest max(m, n) the guided quadrature plane is built for (~440 MB there)
 _MAX_MODE_INDEX = 200
 
 
@@ -148,11 +148,11 @@ def _transverse_rules(spec: GuidedModeSpec):
     """Gauss-Legendre ``(nodes, weights)`` rules on ``[0, a]`` and ``[0, b]``.
 
     Each axis gets ``max(8*max(m, n), 20)`` nodes, the one transverse rule
-    of every guided quadrature.  The z = 0 plane of :func:`_cell_grid` grows
-    as ``max(m, n)^2`` (about 230 MB for the whole process at ``max(m, n) =
-    100``, about 800 MB at 200), and ``max(m, n)`` above ``_MAX_MODE_INDEX``
-    raises :class:`ResolutionError`.  The bound keeps the node count an
-    index-sized integer; it does not keep memory small.
+    of every guided quadrature.  The z = 0 plane of :func:`_guided_plane`
+    grows as ``max(m, n)^2`` (about 140 MB for the whole process at
+    ``max(m, n) = 100``, about 440 MB at 200), and ``max(m, n)`` above
+    ``_MAX_MODE_INDEX`` raises :class:`ResolutionError`.  The bound keeps
+    the node count an index-sized integer; it does not keep memory small.
     """
     m, n = spec.index.m, spec.index.n
     nodes = max(8 * max(m, n), 20)
@@ -165,37 +165,24 @@ def _transverse_rules(spec: GuidedModeSpec):
             _gauss_legendre(nodes, 0.0, spec.geometry.b))
 
 
-def _cell_grid(spec: GuidedModeSpec):
-    """The transverse rules and the phasor on their grid in the plane ``z = 0``.
+def _guided_plane(spec: GuidedModeSpec):
+    """The weights and field bilinears of one guided quadrature plane.
 
-    Returns ``(rules, field)``: ``rules`` is the ``(x_rule, y_rule)`` pair of
-    :func:`_transverse_rules`, and ``field`` has shape ``(nx, ny, 3)``.  A
-    propagating mode carries ``exp(i k_z z)`` with real ``k_z``, so every
-    bilinear density is the same on each plane, and a cell integral is
-    ``L`` times the plane integral.
+    Evaluates the phasor once on the grid of :func:`_transverse_rules` in
+    the plane ``z = 0`` and returns ``(wx, wy, e2, b2, s_z)``: the two weight
+    vectors, ``|E_i|^2`` and ``|B_i|^2`` with shape ``(nx, ny, 3)``, and
+    ``Re(E x B*)_z`` with shape ``(nx, ny)``, formed as :func:`numpy.cross`
+    forms that component.  A propagating mode carries ``exp(i k_z z)`` with
+    real ``k_z``, so every bilinear density is the same on each plane, and a
+    cell integral is ``L`` times the plane integral.
     """
-    rules = _transverse_rules(spec)
-    (xs, _), (ys, _) = rules
-    return rules, guided_field_phasor(spec, (xs[:, None], ys[None, :], 0.0))
-
-
-def _ellipse_intensities(spec: GuidedModeSpec, rules, field) -> tuple[float, float]:
-    """Cross-section mean square transverse/longitudinal field amplitudes.
-
-    Electric field for TM, magnetic for TE (each family's longitudinal
-    component lives in that field), averaged over the plane of
-    :func:`_cell_grid`, whose ``rules`` and ``field`` it takes.  Returns
-    ``(h_perp^2, h_long^2)``.
-    """
-    (_, wx), (_, wy) = rules
-    vec = field.B if spec.index.family is ModeFamily.TE else field.E
-    perp = np.abs(vec[..., 0]) ** 2 + np.abs(vec[..., 1]) ** 2
-    lon = np.abs(vec[..., 2]) ** 2
-    area = spec.geometry.a * spec.geometry.b
-    h_perp2 = float(np.einsum("i,j,ij->", wx, wy, perp)) / area
-    h_long2 = float(np.einsum("i,j,ij->", wx, wy, lon)) / area
-    _check_float_range(h_perp2=h_perp2, h_long2=h_long2)
-    return h_perp2, h_long2
+    (xs, wx), (ys, wy) = _transverse_rules(spec)
+    field = guided_field_phasor(spec, (xs[:, None], ys[None, :], 0.0))
+    E, B = field.E, field.B
+    # an overflow shows as inf or nan in a total, which the range checks name
+    with np.errstate(over="ignore", invalid="ignore"):
+        s_z = np.real(E[..., 0] * np.conj(B[..., 1]) - E[..., 1] * np.conj(B[..., 0]))
+        return wx, wy, np.abs(E) ** 2, np.abs(B) ** 2, s_z
 
 
 def integrate_guided(spec: GuidedModeSpec,
@@ -204,7 +191,11 @@ def integrate_guided(spec: GuidedModeSpec,
 
     The rule is ``max(8*max(m, n), 20)`` Gauss-Legendre nodes per transverse
     axis on the plane ``z = 0``, times the length ``L`` (the densities do
-    not depend on z), for ~1e-14 relative accuracy.
+    not depend on z), for ~1e-14 relative accuracy.  ``theta`` and
+    ``ellipticity = h_long/h_perp = tan(theta)`` are read from the mean
+    squares of the field that carries the family's longitudinal component:
+    E for TM, where ``e = omega_c/(|k_z| c)`` exactly, and B for TE, whose
+    electric ellipse is degenerate (``E_z = 0``).
 
     Parameters
     ----------
@@ -227,17 +218,18 @@ def integrate_guided(spec: GuidedModeSpec,
     k_z = float(np.real(spec.k_z))
     length = spec.geometry.length
 
-    rules, field = _cell_grid(spec)
-    (_, wx), (_, wy) = rules
-    # an overflow shows as inf or nan in a total, which the range checks name
+    wx, wy, e2, b2, s_z = _guided_plane(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        w_den = energy_density(field, con)
-        p_den = momentum_density(field, con)[..., 2]
+        w_den = 0.25 * con.eps0 * (np.sum(e2, axis=-1) + con.c**2 * np.sum(b2, axis=-1))
         W = length * float(np.einsum("i,j,ij->", wx, wy, w_den))
-        P_z = length * float(np.einsum("i,j,ij->", wx, wy, p_den))
+        P_z = length * float(np.einsum("i,j,ij->", wx, wy, 0.5 * con.eps0 * s_z))
         # before the intensities, which overflow whenever W does
         _check_float_range(W=W)
-        h_perp2, h_long2 = _ellipse_intensities(spec, rules, field)
+        v2 = b2 if spec.index.family is ModeFamily.TE else e2
+        area = spec.geometry.a * spec.geometry.b
+        h_perp2 = float(np.einsum("i,j,ij->", wx, wy, v2[..., 0] + v2[..., 1])) / area
+        h_long2 = float(np.einsum("i,j,ij->", wx, wy, v2[..., 2])) / area
+        _check_float_range(h_perp2=h_perp2, h_long2=h_long2)
     sin_2theta = 2.0 * math.sqrt(h_perp2 * h_long2) / (h_perp2 + h_long2)
     S_perp = math.copysign(1.0, k_z) * (W / omega) * sin_2theta
     if combine_spins:
@@ -436,25 +428,6 @@ def quantized_transverse_spin_surface(n: int, spec: SurfaceWaveSpec,
 # ellipticity
 
 
-def ellipticity_guided(spec: GuidedModeSpec) -> tuple[float, float]:
-    """Polarization-ellipse ratio ``e = h_long/h_perp`` and angle ``theta``.
-
-    Computed from quadrature cross-section averages of the squared field
-    amplitudes, with the transverse rule of :func:`integrate_guided`
-    (``max(8*max(m, n), 20)`` nodes per axis), in the field that
-    carries the family's longitudinal component.  For TM modes that is the
-    electric field, and ``e = omega_c/(|k_z| c) = tan(theta)`` exactly.  The
-    electric ellipse of a TE mode is degenerate (``E_z = 0``), so TE modes
-    use the magnetic ellipse: the natural dual, which yields the same ``e``
-    value, but an extrapolation of the TM construction rather than an
-    independently established identity.
-    """
-    _require_propagating(spec, "ellipticity")
-    h_perp2, h_long2 = _ellipse_intensities(spec, *_cell_grid(spec))
-    e = math.sqrt(h_long2 / h_perp2)
-    return e, math.atan(e)
-
-
 def ellipticity_surface(spec: SurfaceWaveSpec) -> tuple[float, float]:
     """Surface ellipse ratio ``e = kappa/|k_z| = tan(theta')`` and ``theta'``.
 
@@ -483,8 +456,7 @@ def balance_integral(spec: GuidedModeSpec, b_amplitude_scale: float = 1.0) -> fl
     """
     _require_propagating(spec, "balance integral")
     con = spec.constants
-    ((_, wx), (_, wy)), field = _cell_grid(spec)
-    e2 = np.sum(np.abs(field.E) ** 2, axis=-1)
-    b2 = np.sum(np.abs(field.B) ** 2, axis=-1) * b_amplitude_scale**2
-    integrand = 0.25 * con.eps0 * (e2 - con.c**2 * b2)
+    wx, wy, e2, b2, _ = _guided_plane(spec)
+    b2 = np.sum(b2, axis=-1) * b_amplitude_scale**2
+    integrand = 0.25 * con.eps0 * (np.sum(e2, axis=-1) - con.c**2 * b2)
     return spec.geometry.length * float(np.einsum("i,j,ij->", wx, wy, integrand))

@@ -185,7 +185,10 @@ def analytic_spin_surface(spec: SurfaceWaveSpec, x) -> SpinDensityPair:
     shape = x.shape + (3,)
     zeros = np.zeros(shape)
     s = np.zeros(shape)
-    s[..., 1] = _surface_peak(spec) * np.exp(-2.0 * spec.kappa * x)
+    # libm's exp, not numpy's: numpy's AVX-512 float64 exp differs from it in
+    # the last bit for some arguments, so the map's bytes would follow the host
+    decay = np.vectorize(math.exp, otypes=[float])(-2.0 * spec.kappa * x)
+    s[..., 1] = _surface_peak(spec) * decay
     if spec.family is ModeFamily.TM:
         return SpinDensityPair(s_e=s, s_m=zeros)
     return SpinDensityPair(s_e=zeros, s_m=s)

@@ -7,9 +7,9 @@ reconciliations (see ``docs/derivations.md``): the TE_m0 doubling of the
 volume totals, the surface momentum-per-quantum form, and the circular-basis
 pole convention each have a dedicated check.
 
-The whole catalogue takes about 0.18-0.21 s in process on one core of a
+The whole catalogue takes about 0.14-0.21 s in process on one core of a
 2-core Xeon host (Python 3.11, numpy 2.4).  Its largest check is
-``guided-totals-vs-closed-forms`` at 35-40 ms; the checks that sample many
+``guided-totals-vs-closed-forms`` at 27-30 ms; the checks that sample many
 directions or points do so in one array call each:
 ``algebra-helicity-eigensystem`` (1050 directions) takes about 4 ms,
 ``guided-time-average-oracle`` 3 ms and ``surface-pipeline-and-oracle``
@@ -33,9 +33,9 @@ from .modes import (GuidedModeSpec, ModeFamily, ModeIndex, SurfaceWaveSpec,
                     guided_field_phasor, maxwell_residuals,
                     surface_field_phasor)
 from .observables import (amplitude_for_quanta, balance_integral,
-                          ellipticity_guided, ellipticity_surface,
-                          group_velocity_fd, guided_closed_forms,
-                          integrate_guided, integrate_surface,
+                          ellipticity_surface, group_velocity_fd,
+                          guided_closed_forms, integrate_guided,
+                          integrate_surface,
                           quantized_transverse_spin_guided,
                           quantized_transverse_spin_surface,
                           surface_closed_forms)
@@ -341,7 +341,8 @@ def _check_guided_ellipticity() -> CheckResult:
     for family, m, n in [("TM", 1, 1), ("TM", 2, 2), ("TE", 1, 0), ("TE", 2, 1)]:
         for ratio in (1.05, math.sqrt(2.0), 3.0):
             spec = _guided(family, m, n, ratio)
-            e, theta = ellipticity_guided(spec)
+            obs = integrate_guided(spec)
+            e, theta = obs.ellipticity, obs.theta
             con = spec.constants
             expected = spec.omega_c / (abs(float(np.real(spec.k_z))) * con.c)
             worst = max(worst, _rel(e, expected), _rel(math.tan(theta), expected))

@@ -9,11 +9,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from transpin import (ResolutionError, UnsupportedModeError,
+from transpin import (ModeFamily, ResolutionError, UnsupportedModeError,
                       amplitude_for_quanta, balance_integral,
-                      ellipticity_guided, ellipticity_surface,
+                      ellipticity_surface, energy_density,
                       group_velocity_fd, guided_closed_forms,
-                      integrate_guided, integrate_surface, observables,
+                      guided_field_phasor, integrate_guided,
+                      integrate_surface, momentum_density, observables,
                       quantized_transverse_spin_guided,
                       quantized_transverse_spin_surface, surface_closed_forms)
 from transpin.constants import NATURAL, SI
@@ -146,13 +147,13 @@ def test_balance_integral_detects_injected_imbalance(make_guided):
 def test_guided_ellipticity_tracks_cutoff_ratio(make_guided):
     for ratio in (1.05, SQRT2, 4.0):
         spec = make_guided("TM", 2, 1, ratio=ratio)
-        e, theta = ellipticity_guided(spec)
+        obs = integrate_guided(spec)
         expected = spec.omega_c / (float(np.real(spec.k_z)) * SI.c)
-        assert_allclose(e, expected, rtol=1e-10)
-        assert_allclose(math.tan(theta), expected, rtol=1e-10)
+        assert_allclose(obs.ellipticity, expected, rtol=1e-10)
+        assert_allclose(math.tan(obs.theta), expected, rtol=1e-10)
     # circular at sqrt(2) omega_c: the ellipse degenerates to a circle
-    spec = make_guided("TM", 1, 1, ratio=SQRT2)
-    e, theta = ellipticity_guided(spec)
+    obs = integrate_guided(make_guided("TM", 1, 1, ratio=SQRT2))
+    e, theta = obs.ellipticity, obs.theta
     assert_allclose(e, 1.0, rtol=1e-10)
     assert_allclose(theta, math.pi / 4.0, rtol=1e-10)
 
@@ -160,8 +161,7 @@ def test_guided_ellipticity_tracks_cutoff_ratio(make_guided):
 def test_te_ellipticity_needs_the_magnetic_ellipse(make_guided):
     # E_z = 0 for TE, so the family's magnetic ellipse is the one measured
     spec = make_guided("TE", 1, 0)
-    e, _ = ellipticity_guided(spec)
-    assert_allclose(e, spec.omega_c / (float(np.real(spec.k_z)) * SI.c),
+    assert_allclose(integrate_guided(spec).ellipticity, spec.omega_c / (float(np.real(spec.k_z)) * SI.c),
                     rtol=1e-10)
 
 
@@ -272,7 +272,7 @@ def test_surface_truncation_guard(make_surface):
 def test_guided_grid_is_bounded(make_guided, family, m, n):
     spec = make_guided(family, m, n, ratio=1.5)
     nodes = 8 * max(m, n)
-    for integrate in (integrate_guided, ellipticity_guided):
+    for integrate in (integrate_guided, balance_integral):
         with pytest.raises(ResolutionError, match=rf"m = {m}, n = {n} need {nodes} "):
             integrate(spec)
 
@@ -281,11 +281,10 @@ def test_guided_grid_is_bounded(make_guided, family, m, n):
 # one z = 0 plane per guided quadrature
 
 
-@pytest.mark.parametrize("quadrature", [integrate_guided, ellipticity_guided,
-                                        balance_integral])
+@pytest.mark.parametrize("quadrature", [integrate_guided, balance_integral])
 def test_each_guided_quadrature_evaluates_one_plane(make_guided, monkeypatch, quadrature):
     phasor = observables.guided_field_phasor
-    grids = []
+    grids, crosses = [], []
 
     def spy(spec, point, t=0.0):
         grids.append(np.broadcast(*point).shape)
@@ -293,8 +292,55 @@ def test_each_guided_quadrature_evaluates_one_plane(make_guided, monkeypatch, qu
         return phasor(spec, point, t)
 
     monkeypatch.setattr(observables, "guided_field_phasor", spy)
+    monkeypatch.setattr(observables, "momentum_density", crosses.append)
     quadrature(make_guided("TE", 3, 2))
     assert grids == [(24, 24)]  # max(8 * max(m, n), 20) nodes per axis
+    assert crosses == []  # Re(E x B*)_z is formed from its two products
+
+
+def _reference_plane(spec, b_amplitude_scale=1.0):
+    """``integrate_guided`` and ``balance_integral`` from the density functions.
+
+    The same plane and rules, with the full densities of :mod:`transpin.spin`
+    and each field's component squares formed one at a time.
+    """
+    con, geometry = spec.constants, spec.geometry
+    (xs, wx), (ys, wy) = observables._transverse_rules(spec)
+    field = guided_field_phasor(spec, (xs[:, None], ys[None, :], 0.0))
+
+    def plane(density):
+        return float(np.einsum("i,j,ij->", wx, wy, density))
+
+    W = geometry.length * plane(energy_density(field, con))
+    P_z = geometry.length * plane(momentum_density(field, con)[..., 2])
+    vec = field.B if spec.index.family is ModeFamily.TE else field.E
+    area = geometry.a * geometry.b
+    h_perp2 = plane(np.abs(vec[..., 0]) ** 2 + np.abs(vec[..., 1]) ** 2) / area
+    h_long2 = plane(np.abs(vec[..., 2]) ** 2) / area
+    sin_2theta = 2.0 * math.sqrt(h_perp2 * h_long2) / (h_perp2 + h_long2)
+    e2 = np.sum(np.abs(field.E) ** 2, axis=-1)
+    b2 = np.sum(np.abs(field.B) ** 2, axis=-1) * b_amplitude_scale**2
+    return {
+        "W": W,
+        "P_z": P_z,
+        "S_perp": math.copysign(1.0, float(np.real(spec.k_z))) * (W / spec.omega) * sin_2theta,
+        "theta": math.atan2(math.sqrt(h_long2), math.sqrt(h_perp2)),
+        "ellipticity": math.sqrt(h_long2 / h_perp2),
+        "balance": geometry.length * plane(0.25 * con.eps0 * (e2 - con.c**2 * b2)),
+    }
+
+
+@pytest.mark.parametrize("family, m, n, direction", [
+    ("TM", 1, 1, 1), ("TM", 3, 7, 1), ("TE", 1, 0, 1), ("TE", 2, 1, 1),
+    ("TE", 48, 5, 1), ("TM", 3, 7, -1)])
+def test_one_plane_pass_keeps_the_bits_of_the_density_functions(make_guided, family, m, n,
+                                                                 direction):
+    spec = make_guided(family, m, n, ratio=1.3, amplitude=0.37, direction=direction)
+    obs = integrate_guided(spec)
+    for scale in (1.0, 1.01):
+        expected = _reference_plane(spec, scale)
+        assert balance_integral(spec, b_amplitude_scale=scale) == expected.pop("balance")
+        assert {key: getattr(obs, key) for key in expected} == expected
 
 
 def test_guided_totals_are_linear_in_length_bit_for_bit(make_guided):
@@ -316,7 +362,7 @@ def test_guided_quadrature_memory_follows_one_plane(make_guided):
     finally:
         tracemalloc.stop()
     # E and B on one plane hold six complex128 components: 96 B per node
-    assert peak <= 4 * nodes**2 * 96
+    assert peak <= 2 * nodes**2 * 96
 
 
 def test_surface_totals_subluminal(make_surface):
@@ -344,7 +390,6 @@ _SIGNATURES = {
     "amplitude_for_quanta": ("n", "spec"),
     "quantized_transverse_spin_guided": ("n", "spec"),
     "quantized_transverse_spin_surface": ("n", "spec", "combine_spins"),
-    "ellipticity_guided": ("spec",),
     "ellipticity_surface": ("spec",),
     "balance_integral": ("spec", "b_amplitude_scale"),
 }

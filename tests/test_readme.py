@@ -19,6 +19,8 @@ SH_BLOCKS = re.findall(r"^```sh\n(.*?)^```", TEXT, flags=re.DOTALL | re.MULTILIN
 COMMANDS = [" ".join(line.split("#")[0].split())
             for block in SH_BLOCKS for line in block.replace("\\\n", " ").splitlines()
             if line.startswith("transpin ")]
+CONFIG_TEXT = re.search(r"<<'EOF'\n(.*?)^EOF$", TEXT[TEXT.index("### Configuration"):],
+                        flags=re.DOTALL | re.MULTILINE)[1]
 
 
 def test_readme_has_python_examples():
@@ -40,8 +42,15 @@ def test_readme_command_line_parses(command):
     cli._build_parser().parse_args(shlex.split(command)[1:])
 
 
+@pytest.mark.parametrize("command", COMMANDS)
+def test_readme_command_line_runs(command, tmp_path, monkeypatch, capsys):
+    # in a fresh directory holding the config file the heredoc writes
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bench.json").write_text(CONFIG_TEXT, encoding="utf-8")
+    expected = 3 if "--inject-fault" in command else 0
+    assert cli.main(shlex.split(command)[1:]) == expected, capsys.readouterr().err
+
+
 def test_readme_config_example_is_accepted():
-    section = TEXT[TEXT.index("### Configuration"):]
-    text = re.search(r"<<'EOF'\n(.*?)^EOF$", section, flags=re.DOTALL | re.MULTILINE)[1]
-    keys = json.loads(text)
+    keys = json.loads(CONFIG_TEXT)
     assert cli.RunConfig.from_sources(keys, {}).provided == set(keys)
