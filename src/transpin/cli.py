@@ -21,7 +21,9 @@ configuration error, 2 I/O error, 3 verification failure.
 
 Spin-map rows are written in y-major order (x fastest), each as soon as it
 is formatted, and floats in Python's shortest round-trip representation, so
-output bytes are identical across runs.
+output bytes are identical across runs.  A row whose spin values have the
+bits of the row before it reuses that row's value text: a TE_m0 map, a map
+below cutoff and every surface map format their values once.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ from .modes import (GuidedModeSpec, ModeFamily, ModeIndex, SurfaceWaveSpec,
                     WaveguideGeometry, cutoff_frequency)
 from .observables import (_check_float_range, amplitude_for_quanta,
                           closed_forms, integrate_guided, integrate_surface)
-from .spin import (_guided_scales, _surface_peak, analytic_spin_guided,
-                   analytic_spin_surface)
+from .spin import (SpinDensityPair, _guided_scales, _surface_peak,
+                   analytic_spin_guided, analytic_spin_surface)
 from .verify import _rel, run_checks
 
 __all__ = ["RunConfig", "main"]
@@ -229,9 +231,8 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
 # spinmap
 
 
-def _value_fields(pair, combine: bool) -> list[str]:
-    """``sx,sy,sz,mag`` per sample; ``mag`` is the Euclidean norm."""
-    s = pair.combined() if combine else pair.total()
+def _value_fields(s: np.ndarray) -> list[str]:
+    """``sx,sy,sz,mag`` per row of the spin array ``s``; ``mag`` is the Euclidean norm."""
     return [f"{sx!r},{sy!r},{sz!r},{math.hypot(sx, sy, sz)!r}"
             for sx, sy, sz in s.tolist()]
 
@@ -260,10 +261,13 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
     Every check runs before this returns: the extents, the peak of each
     spin column, which must be a finite normal float, and the arrays of one
     row, which must fit in memory.  The iterator yields the header line and
-    then one chunk per row, so at most a row is held.
+    then one chunk per row, so at most a row is held.  The kind sets the
+    extents, the peaks and how a row is sampled.  A row's spin values are
+    formatted only when their bits differ from the last row's: ``repr``
+    follows the bits, and ``==`` would equate ``-0.0`` with ``0.0``.
     """
     nx, ny = config["nx"], config["ny"]
-    combine = config["combine-spins"]
+    pick = SpinDensityPair.combined if config["combine-spins"] else SpinDensityPair.total
     guided = isinstance(spec, GuidedModeSpec)
     if guided:
         x_max, y_max = spec.geometry.a, spec.geometry.b
@@ -281,10 +285,10 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
     _check_float_range(**peaks)
     try:
         xs = np.linspace(0.0, x_max, nx)
-        if not guided:
-            # time-averaged densities carry no z dependence; each row
-            # repeats the decay profile at its z station
-            profile = _value_fields(analytic_spin_surface(spec, xs), combine)
+        # time-averaged densities carry no z dependence: one profile serves every surface row
+        profile = None if guided else analytic_spin_surface(spec, xs)
+        sample = ((lambda y: analytic_spin_guided(spec, (xs, np.full(nx, y)))) if guided
+                  else (lambda y: profile))
         x_fields = [repr(x) for x in xs.tolist()]
     except (ValueError, IndexError, MemoryError) as exc:
         # numpy refuses a size it cannot allocate with any of these three
@@ -298,10 +302,11 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
 
     def rows() -> Iterator[str]:
         yield CSV_HEADER + "\n"
+        bits = None
         for second in stations:
-            values = (_value_fields(analytic_spin_guided(spec, (xs, np.full(nx, second))),
-                                    combine)
-                      if guided else profile)
+            s = pick(sample(second))
+            if s.tobytes() != bits:
+                bits, values = s.tobytes(), _value_fields(s)
             y = repr(second)
             yield "".join([f"{x},{y},{v}\n" for x, v in zip(x_fields, values)])
 
@@ -363,10 +368,10 @@ def _report(config: RunConfig, spec: GuidedModeSpec | SurfaceWaveSpec) -> dict[s
             "phi_deg": math.degrees(spec.phi),
             "kappa": spec.kappa,
             "area": spec.area,
-            "tan_theta_prime": spec.kappa / spec.k_z,
+            "tan_theta_prime": spec.kappa / abs(spec.k_z),
             "mass": {
                 "m_s": mass.m_s, "M_s": mass.M_s, "epsilon": mass.epsilon,
-                "p": mass.p, "v": mass.v, "gamma": spec.k_z / spec.kappa,
+                "p": mass.p, "v": mass.v, "gamma": abs(spec.k_z) / spec.kappa,
             },
         }
         residuals = {}

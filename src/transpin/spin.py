@@ -24,6 +24,7 @@ instantaneous fields (:func:`time_average_oracle`).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -127,6 +128,25 @@ def _surface_peak(spec: SurfaceWaveSpec) -> float:
             / spec.omega**3)
 
 
+def _decayed(peak: float, exponent: float) -> float:
+    """``peak * exp(exponent)`` for ``exponent <= 0``, where ``exp`` alone may underflow.
+
+    Where ``exp(exponent)`` is a normal float the product is formed as
+    written.  Deeper, ``exp`` would round to a subnormal or to zero before
+    the peak scales it back up, so the peak is multiplied by four factors
+    ``exp(exponent/4)`` in turn.  Each factor is a normal float for every
+    exponent whose product is not zero (above about -1455), so the result is
+    within a few ulp of ``peak * exp(exponent)`` wherever that is a normal
+    float.
+    """
+    decay = math.exp(exponent)
+    if decay >= sys.float_info.min:
+        return peak * decay
+    quarter = math.exp(0.25 * exponent)
+    # left to right: quarter**4 would underflow as exp(exponent) does
+    return peak * quarter * quarter * quarter * quarter
+
+
 def analytic_spin_guided(spec: GuidedModeSpec, point) -> SpinDensityPair:
     """Closed-form guided spin densities at transverse ``point = (x, y)``.
 
@@ -178,6 +198,8 @@ def analytic_spin_surface(spec: SurfaceWaveSpec, x) -> SpinDensityPair:
         s_y = eps0 h'^2 (kappa k_z c^2 / omega^3) exp(-2 kappa x)
 
     carried by the electric branch for TM and the magnetic branch for TE.
+    Deep in the tail, where ``exp(-2 kappa x)`` alone underflows, the product
+    is still formed to a few ulp (:func:`_decayed`).
     """
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
@@ -185,10 +207,13 @@ def analytic_spin_surface(spec: SurfaceWaveSpec, x) -> SpinDensityPair:
     shape = x.shape + (3,)
     zeros = np.zeros(shape)
     s = np.zeros(shape)
-    # libm's exp, not numpy's: numpy's AVX-512 float64 exp differs from it in
-    # the last bit for some arguments, so the map's bytes would follow the host
-    decay = np.vectorize(math.exp, otypes=[float])(-2.0 * spec.kappa * x)
-    s[..., 1] = _surface_peak(spec) * decay
+    # libm's exp on Python floats, not numpy's: numpy's AVX-512 float64 exp
+    # differs from it in the last bit for some arguments, so the map's bytes
+    # would follow the host; and an exponent too large for a float becomes
+    # -inf, so its value 0, with no numpy overflow warning
+    peak, rate = _surface_peak(spec), -2.0 * spec.kappa
+    s[..., 1] = np.reshape([_decayed(peak, rate * depth) for depth in x.ravel().tolist()],
+                           x.shape)
     if spec.family is ModeFamily.TM:
         return SpinDensityPair(s_e=s, s_m=zeros)
     return SpinDensityPair(s_e=zeros, s_m=s)

@@ -457,7 +457,7 @@ def _check_surface_mass_identities() -> CheckResult:
             _rel(rep.M_s, 2 * rep.m_s),
             _rel(integrate_surface(spec).W, rep.M_s * con.c**2 * gamma),
             _rel(integrate_surface(spec).P_z, rep.M_s * rep.v * gamma),
-            _rel(gamma, spec.k_z / spec.kappa),
+            _rel(gamma, abs(spec.k_z) / spec.kappa),
         )
         # pointwise: w^2 - p_z^2 c^2 = rho0^2 c^4 along the decay axis
         xs = np.linspace(0.0, 5.0 / spec.kappa, 24)

@@ -10,7 +10,10 @@ half on a host that has it.
 
 A change that moves output bits on purpose regenerates the digests with
 ``PYTHONPATH=src python tests/test_case_list.py > tests/case_digests.json``
-and names the cases that moved.
+and names the cases that moved.  ``PYTHONPATH=src python
+tests/test_case_list.py --diff`` prints the cases whose digest differs from
+the committed one (a case missing from the file counts) and exits 1 if any
+does.
 """
 
 import contextlib
@@ -49,6 +52,7 @@ CASES = [
     "report --kind surface --x-max-kappa 8",
     "report --kind surface --combine-spins --eta 2 --phi-deg 70",
     "report --kind surface --n-quanta 2",
+    "report --kind surface --direction -1",
     "report --units natural --family TM --m 1 --n 1 --n-quanta 1",
     "report --family TM --m 1 --n 1 --omega-ratio 0.8",
     "report --family TE --m 1 --n 1 --a 3e100 --b 3e100",
@@ -58,6 +62,11 @@ CASES = [
     f"--nx 41 --ny 21 {_MAP}",
     f"spinmap --family TM --m 2 --n 1 --nx 201 --ny 101 {_MAP}",
     f"spinmap --family TE --m 3 --n 2 --combine-spins --direction -1 {_MAP}",
+    f"spinmap --family TE --m 1 --n 0 --nx 1001 --ny 5 {_MAP}",
+    f"spinmap --family TE --m 3 --n 0 --direction -1 {_MAP}",
+    f"spinmap --family TE --m 2 --n 0 --combine-spins {_MAP}",
+    f"spinmap --family TE --m 1 --n 0 --omega-ratio 0.8 {_MAP}",
+    f"spinmap --family TM --m 1 --n 1 --omega-ratio 0.8 {_MAP}",
     f"spinmap --kind surface --nx 1001 --ny 2 {_MAP}",
     f"spinmap --kind surface --family TM --x-max-kappa 7.5 --z-periods 2.5 "
     f"--nx 301 --ny 11 {_MAP}",
@@ -99,6 +108,12 @@ def all_digests() -> dict[str, str]:
     return {case: case_digest(case) for case in CASES}
 
 
+def moved_cases(digests: dict[str, str]) -> list[str]:
+    """The cases whose digest differs from the committed one, in list order."""
+    expected = json.loads(DIGESTS.read_text())
+    return [case for case in CASES if digests[case] != expected.get(case)]
+
+
 def _enabled_features() -> set[str]:
     return {name for name, on in __cpu_features__.items() if on}
 
@@ -123,14 +138,25 @@ def test_cases_keep_their_digests_under_avx2_dispatch():
     if not native - set(features):
         warnings.warn("the AVX2-restricted dispatch enables every feature this "
                       "host has, so it could detect nothing here")
-    expected = json.loads(DIGESTS.read_text())
-    assert {case for case in CASES if digests[case] != expected[case]} == set()
+    assert moved_cases(digests) == []
+
+
+def test_moved_cases_names_each_changed_digest_in_list_order():
+    digests = json.loads(DIGESTS.read_text())
+    assert moved_cases(digests) == []
+    changed = {**digests, CASES[-1]: "0" * 64, CASES[0]: "1" * 64}
+    assert moved_cases(changed) == [CASES[0], CASES[-1]]
 
 
 if __name__ == "__main__":
     digests = all_digests()
     if sys.argv[1:] == ["--features"]:
         json.dump([sorted(_enabled_features()), digests], sys.stdout)
+    elif sys.argv[1:] == ["--diff"]:
+        moved = moved_cases(digests)
+        for case in moved:
+            print(case)
+        sys.exit(1 if moved else 0)
     else:
         json.dump(digests, sys.stdout, indent=1)
         sys.stdout.write("\n")

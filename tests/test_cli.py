@@ -2,6 +2,7 @@
 
 import contextlib
 import io
+import itertools
 import json
 import math
 import subprocess
@@ -17,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from transpin import analytic_spin_guided, analytic_spin_surface, cli
+from transpin import SpinDensityPair, analytic_spin_guided, analytic_spin_surface, cli
 from transpin.cli import _KEYS, CSV_HEADER, RunConfig, main
 
 
@@ -163,6 +164,48 @@ def test_spinmap_matches_vectorized_render(mode, combine, capsys):
     assert capsys.readouterr().out == _expected_map(flags)
 
 
+@pytest.mark.parametrize("args, repeats", [
+    (["--family", "TE", "--m", "1", "--n", "0"], True),
+    (["--family", "TE", "--m", "2", "--n", "0", "--combine-spins"], True),
+    (["--family", "TE", "--m", "1", "--n", "0", "--omega-ratio", "0.8"], True),
+    (["--family", "TM", "--m", "1", "--n", "1", "--omega-ratio", "0.8"], True),
+    (["--kind", "surface", "--family", "TM"], True),
+    (["--kind", "surface", "--family", "TE"], True),
+    (["--family", "TM", "--m", "2", "--n", "1"], False),
+    (["--family", "TE", "--m", "1", "--n", "1"], False),
+], ids=["TE10", "TE20-combined", "TE10-below-cutoff", "TM11-below-cutoff",
+        "surface-TM", "surface-TE", "TM21", "TE11"])
+def test_rows_whose_spin_bits_repeat_are_formatted_once(args, repeats, monkeypatch,
+                                                         capsys):
+    formatted = []
+    value_fields = cli._value_fields
+
+    def counting(s):
+        formatted.append(s.shape)
+        return value_fields(s)
+
+    monkeypatch.setattr(cli, "_value_fields", counting)
+    assert main(["spinmap", *args, "--nx", "9", "--ny", "7"]) == 0
+    assert formatted == [(9, 3)] * (1 if repeats else 7)
+    assert capsys.readouterr().out.count("\n") == 1 + 9 * 7
+
+
+def test_a_zero_of_the_other_sign_is_formatted_again(monkeypatch, capsys):
+    # -0.0 == 0.0, but repr tells them apart, so the bits decide a repeat
+    signs = itertools.cycle([1.0, -1.0])
+
+    def signed_zeros(spec, point):
+        s = np.full((len(point[0]), 3), 0.0 * next(signs))
+        return SpinDensityPair(s_e=s, s_m=s)
+
+    monkeypatch.setattr(cli, "analytic_spin_guided", signed_zeros)
+    assert main(["spinmap", "--nx", "3", "--ny", "4"]) == 0
+    lines = capsys.readouterr().out.splitlines()[1:]
+    assert [line.split(",", 2)[2] for line in lines] == [
+        *["0.0,0.0,0.0,0.0"] * 3, *["-0.0,-0.0,-0.0,0.0"] * 3,
+        *["0.0,0.0,0.0,0.0"] * 3, *["-0.0,-0.0,-0.0,0.0"] * 3]
+
+
 def test_streamed_map_holds_no_more_than_a_row(tmp_path):
     # the 201 x 401 map is 7 MB of text, and 25 MB as a list of its lines
     path = tmp_path / "map.csv"
@@ -284,6 +327,27 @@ def test_surface_report_fields(capsys):
                         rel_tol=1e-9)
     assert report["residuals"]["S_y"] <= 1e-9
     assert abs(report["observables"]["v"]) < 299792458.0
+
+
+def test_surface_report_gamma_and_angle_do_not_follow_the_direction(capsys):
+    reports = {}
+    for direction in ("1", "-1"):
+        assert main(["report", "--kind", "surface", "--direction", direction]) == 0
+        reports[direction] = json.loads(capsys.readouterr().out)
+    forward, backward = reports["1"], reports["-1"]
+    assert forward["mass"]["gamma"] == backward["mass"]["gamma"]
+    for report in (forward, backward):
+        mass, obs = report["mass"], report["observables"]
+        assert mass["gamma"] >= 1.0
+        assert mass["gamma"] == pytest.approx(
+            1.0 / math.sqrt(1.0 - (mass["v"] / 299792458.0) ** 2), rel=1e-12, abs=0.0)
+        tan_theta = report["tan_theta_prime"]
+        assert tan_theta == pytest.approx(obs["ellipticity"], rel=1e-12, abs=0.0)
+        assert tan_theta == pytest.approx(math.tan(obs["theta_prime"]), rel=1e-12, abs=0.0)
+    # the signed quantities keep following the direction
+    for key in ("p", "v"):
+        assert backward["mass"][key] == -forward["mass"][key] < 0.0
+    assert backward["S_y_over_hbar"] < 0.0 < forward["S_y_over_hbar"]
 
 
 def _key_tree(value):
@@ -531,6 +595,19 @@ def test_rejected_map_creates_no_output(args, tmp_path, capsys):
     assert not path.exists()
 
 
+def test_surface_map_at_a_depth_too_large_for_the_exponent_is_zero(tmp_path):
+    # 2 kappa x overflows to inf at the far end; its value is 0 and numpy stays quiet
+    path = tmp_path / "map.csv"
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        assert main(["spinmap", "--kind", "surface", "--x-max-kappa", "1e308",
+                     "--nx", "3", "--ny", "2", "--output", str(path)]) == 0
+    assert err.getvalue() == ""
+    rows = parse_csv(path.read_text())
+    assert rows[0, 3] > 0.0 and np.all(rows[[1, 2, 4, 5], 3] == 0.0)
+
+
 @pytest.mark.parametrize("args, message", [
     (["--nx", "100000000000000000000"], "config key 'nx' is too large for one row"),
     (["--nx", str(2**63)], "config key 'nx' is too large for one row"),
@@ -559,7 +636,8 @@ def test_row_allocation_failure_names_nx(monkeypatch, tmp_path, capsys):
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
 @given(kind=st.sampled_from(["guided", "surface"]),
        flags=st.lists(st.sampled_from(["a", "b", "length", "omega", "amplitude",
-                                       "omega-ratio", "eta"]),
+                                       "omega-ratio", "eta", "x-max-kappa",
+                                       "z-periods"]),
                       min_size=2, max_size=2, unique=True),
        values=st.lists(_EXTREME, min_size=2, max_size=2))
 def test_extreme_spinmap_flag_pairs_exit_cleanly(kind, flags, values):

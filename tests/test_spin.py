@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,8 +15,8 @@ from transpin import (ConfigurationError, FieldPhasor, analytic_spin_guided,
                       guided_field_phasor, momentum_density, spin_densities,
                       surface_field_phasor, time_average_oracle,
                       vector_potentials)
-from transpin.constants import SI
-from transpin.spin import (instantaneous_energy_sampler,
+from transpin.constants import NATURAL, SI
+from transpin.spin import (_surface_peak, instantaneous_energy_sampler,
                            instantaneous_spin_sampler)
 
 RNG = np.random.default_rng(2026)
@@ -151,6 +152,38 @@ def test_surface_spin_direction_and_sign(make_surface):
     assert s.s_e[..., 1] > 0.0
     assert s.s_e[..., 0] == 0.0 and s.s_e[..., 2] == 0.0
     assert np.all(s.s_m == 0.0)
+
+
+def _surface_reference(spec, x):
+    """``s_y`` at depth ``x`` from the float peak and exponent, in 60 digits."""
+    with mpmath.workdps(60):
+        peak = mpmath.mpf(_surface_peak(spec))
+        return float(peak * mpmath.exp(mpmath.mpf(-2.0 * spec.kappa) * mpmath.mpf(x)))
+
+
+@pytest.mark.parametrize("depth", [800.0, 1200.0])
+@pytest.mark.parametrize("direction", [+1, -1])
+@pytest.mark.parametrize("setting", [
+    {"amplitude": 1e100},
+    # a peak of 2.7e238, so the value at 2 kappa x = 1200 is a normal float
+    {"amplitude": 5e102, "omega": 1e-33, "constants": NATURAL},
+], ids=["si-1e100", "natural-5e102"])
+def test_surface_spin_survives_the_underflow_of_its_decay(depth, direction, setting,
+                                                          make_surface):
+    # exp(-2 kappa x) is subnormal beyond 2 kappa x = 708 and 0.0 beyond 745,
+    # but the peak scales the value back up
+    spec = make_surface("TE", direction=direction, **setting)
+    x = depth / (2.0 * spec.kappa)
+    value = float(analytic_spin_surface(spec, x).s_m[1])
+    assert value == pytest.approx(_surface_reference(spec, x), rel=1e-12, abs=0.0)
+
+
+def test_surface_spin_keeps_its_bits_where_the_decay_is_normal(make_surface):
+    for direction in (+1, -1):
+        spec = make_surface("TM", amplitude=1e100, direction=direction)
+        xs = np.linspace(0.0, 708.0 / (2.0 * spec.kappa), 2001)  # exp(-708) is normal
+        expected = [_surface_peak(spec) * math.exp(-2.0 * spec.kappa * x) for x in xs.tolist()]
+        assert analytic_spin_surface(spec, xs).s_e[:, 1].tolist() == expected
 
 
 # ---------------------------------------------------------------------------
