@@ -3,9 +3,10 @@
 Guided totals are tensor-product Gauss-Legendre quadratures over the cross
 section ``[0,a] x [0,b]`` in the plane ``z = 0``, times the length ``L``:
 the densities of a propagating mode do not depend on z.  Surface totals are
-Gauss-Legendre quadratures in ``u = exp(-2 kappa x)`` over the decay axis,
-truncated where the ``exp(-2 kappa x)`` tail is negligible, times the
-transverse quantization area.  The integrands are the pointwise densities of
+one-node midpoint rules in ``u = exp(-2 kappa x)`` over the decay axis,
+exact because every surface density is a constant times ``u``, truncated
+where the ``exp(-2 kappa x)`` tail is negligible, times the transverse
+quantization area.  The integrands are the pointwise densities of
 :mod:`transpin.spin`, bit for bit (a guided plane forms ``|E_i|^2``,
 ``|B_i|^2`` and ``Re(E x B*)_z`` once and sums them as those densities do),
 so the totals are independent of the closed forms they are tested against.
@@ -252,26 +253,33 @@ def integrate_surface(spec: SurfaceWaveSpec, x_max_kappa: float = 20.0,
                       combine_spins: bool = False) -> SurfaceObservables:
     """Quadrature totals of a surface wave over ``x in [0, x_max_kappa/kappa]``.
 
-    The rule is 64 Gauss-Legendre nodes in ``u = exp(-2*kappa*x)`` on
+    The rule is one midpoint node in ``u = exp(-2*kappa*x)`` on
     ``[exp(-2*x_max_kappa), 1]``, so ``x = -ln(u)/(2 kappa)`` and ``dx =
     du/(2 kappa u)``.  Every density is a constant times ``exp(-2 kappa x)
-    = u``, so the integrand in ``u`` is constant and the rule is exact at
-    any depth.  What is left is the truncation tail, ``exp(-2*x_max_kappa)``
-    relative; the default depth of 20 decay lengths leaves ~4e-18.  Depths
-    below 12 cannot reach the 1e-9 contract and raise
-    :class:`ResolutionError`.
+    = u``, so the integrand in ``u`` is constant and one node is exact at
+    any depth: the totals are the pointwise densities at ``u0 = (1 +
+    exp(-2*x_max_kappa))/2`` times the weight ``(1 - exp(-2*x_max_kappa))
+    / (2 kappa u0)``.  What is left is the truncation tail,
+    ``exp(-2*x_max_kappa)`` relative; the default depth of 20 decay lengths
+    leaves ~4e-18, and ``x_max_kappa = inf`` integrates the whole half
+    space.  Depths below 12 (or NaN) cannot reach the 1e-9 contract and
+    raise :class:`ResolutionError`.
     A total or ``n_quanta`` outside the float range raises ``ValueError``.
     """
-    if x_max_kappa < 12.0:
+    # math scalars, so the node does not depend on numpy's CPU dispatch
+    try:
+        tail = math.exp(-2.0 * x_max_kappa)
+    except OverflowError:  # a depth below about -355
+        tail = math.inf
+    if not x_max_kappa >= 12.0:
         raise ResolutionError(
             f"truncation depth {x_max_kappa} decay lengths leaves a relative "
-            f"tail of {math.exp(-2.0 * x_max_kappa):.2e}; use at least 12")
+            f"tail of {tail:.2e}; use at least 12")
     con = spec.constants
     omega = spec.omega
-    us, wu = _gauss_legendre(64, math.exp(-2.0 * x_max_kappa), 1.0)
-    xs = -np.log(us) / (2.0 * spec.kappa)
-    wx = wu / (2.0 * spec.kappa * us)
-    field = surface_field_phasor(spec, (xs, 0.0, 0.0))
+    u0 = 0.5 * (1.0 + tail)
+    weight = (1.0 - tail) / (2.0 * spec.kappa * u0)
+    field = surface_field_phasor(spec, (-math.log(u0) / (2.0 * spec.kappa), 0.0, 0.0))
 
     A = spec.area
     with np.errstate(over="ignore", invalid="ignore"):
@@ -279,9 +287,9 @@ def integrate_surface(spec: SurfaceWaveSpec, x_max_kappa: float = 20.0,
         p_den = momentum_density(field, con)[..., 2]
         pair = spin_densities(field, omega, con)
         s_y = (pair.combined() if combine_spins else pair.total())[..., 1]
-        W = A * float(np.dot(wx, w_den))
-        P_z = A * float(np.dot(wx, p_den))
-        S_y = A * float(np.dot(wx, s_y))
+        W = A * float(weight * w_den)
+        P_z = A * float(weight * p_den)
+        S_y = A * float(weight * s_y)
     n_quanta = W / (con.hbar * omega)
     _check_float_range(W=W, P_z=P_z, S_y=S_y, n_quanta=n_quanta)
     return SurfaceObservables(

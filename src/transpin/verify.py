@@ -7,10 +7,11 @@ reconciliations (see ``docs/derivations.md``): the TE_m0 doubling of the
 volume totals, the surface momentum-per-quantum form, and the circular-basis
 pole convention each have a dedicated check.
 
-The whole catalogue takes about 0.14-0.21 s in process on one core of a
+The whole catalogue takes about 0.10-0.13 s in process on one core of a
 2-core Xeon host (Python 3.11, numpy 2.4).  Its largest check is
-``guided-totals-vs-closed-forms`` at 27-30 ms; the checks that sample many
-directions or points do so in one array call each:
+``guided-totals-vs-closed-forms`` at 23-25 ms; every surface check takes
+under 3 ms.  The checks that sample many directions or points do so in one
+array call each:
 ``algebra-helicity-eigensystem`` (1050 directions) takes about 4 ms,
 ``guided-time-average-oracle`` 3 ms and ``surface-pipeline-and-oracle``
 2 ms.
@@ -449,14 +450,15 @@ def _check_surface_mass_identities() -> CheckResult:
         spec = _surface(family, 1.6, 55.0)
         spec = replace(spec, amplitude=amplitude_for_quanta(2, spec))
         rep = surface_mass_report(spec)
+        obs = integrate_surface(spec)
         con = spec.constants
         gamma = 1.0 / math.sqrt(1.0 - (rep.v / con.c) ** 2)
         worst = max(
             worst,
             _rel(rep.epsilon**2, (rep.p * con.c) ** 2 + (rep.m_s * con.c**2) ** 2),
             _rel(rep.M_s, 2 * rep.m_s),
-            _rel(integrate_surface(spec).W, rep.M_s * con.c**2 * gamma),
-            _rel(integrate_surface(spec).P_z, rep.M_s * rep.v * gamma),
+            _rel(obs.W, rep.M_s * con.c**2 * gamma),
+            _rel(obs.P_z, rep.M_s * rep.v * gamma),
             _rel(gamma, abs(spec.k_z) / spec.kappa),
         )
         # pointwise: w^2 - p_z^2 c^2 = rho0^2 c^4 along the decay axis

@@ -7,6 +7,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from transpin import (ModeFamily, ResolutionError, UnsupportedModeError,
@@ -265,6 +267,65 @@ def test_surface_direction_reversal(make_surface):
 def test_surface_truncation_guard(make_surface):
     with pytest.raises(ResolutionError):
         integrate_surface(make_surface(), x_max_kappa=8.0)
+
+
+@pytest.mark.parametrize("depth", [math.nan, -400.0])
+def test_surface_depth_without_a_tail_is_named(make_surface, depth):
+    # NaN passes a `<` floor; exp(800) overflows while the message is formed
+    with pytest.raises(ResolutionError, match=rf"^truncation depth {depth} decay lengths "):
+        integrate_surface(make_surface(), x_max_kappa=depth)
+
+
+def test_infinite_depth_integrates_the_half_space(make_surface):
+    for family in ("TM", "TE"):
+        spec = make_surface(family, eta=1.7, phi_deg=58.0)
+        obs = integrate_surface(spec, x_max_kappa=math.inf)
+        assert_allclose((obs.W, obs.P_z, obs.S_y), surface_closed_forms(spec), rtol=1e-15)
+
+
+@pytest.mark.parametrize("depth", [12.0, 20.0, 1e4, math.inf])
+def test_surface_quadrature_evaluates_one_node(make_surface, monkeypatch, depth):
+    phasor = observables.surface_field_phasor
+    points = []
+
+    def spy(spec, point, t=0.0):
+        points.append(point)
+        return phasor(spec, point, t)
+
+    monkeypatch.setattr(observables, "surface_field_phasor", spy)
+    spec = make_surface("TE", direction=-1)
+    integrate_surface(spec, x_max_kappa=depth)
+    [(x, y, z)] = points
+    assert np.shape(x) == () and y == 0.0 and z == 0.0
+    assert 0.0 < spec.kappa * x < depth
+    # the midpoint of [exp(-2 depth), 1] in u = exp(-2 kappa x)
+    assert math.isclose(math.exp(-2.0 * spec.kappa * x), 0.5 * (1.0 + math.exp(-2.0 * depth)),
+                        rel_tol=1e-15)
+
+
+_DEPTHS = st.one_of(st.sampled_from([12.0, 35.5, 400.0, 1e4, math.inf]),
+                    st.floats(math.log10(12.0), 4.0).map(lambda e: 10.0**e))
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(family=st.sampled_from(["TM", "TE"]), eta=st.floats(1.05, 4.0),
+       phi_fraction=st.floats(0.01, 0.99), log_omega=st.floats(10.0, 16.0),
+       log_amplitude=st.floats(-6.0, 6.0), log_area=st.floats(-8.0, 0.0),
+       direction=st.sampled_from([1, -1]), combine_spins=st.booleans(), depth=_DEPTHS)
+def test_surface_rule_is_exact_for_the_truncated_integral(
+        make_surface, family, eta, phi_fraction, log_omega, log_amplitude, log_area,
+        direction, combine_spins, depth):
+    # phi between the critical angle asin(1/eta) and grazing incidence
+    critical = math.degrees(math.asin(1.0 / eta))
+    spec = make_surface(family, eta=eta, phi_deg=critical + phi_fraction * (90.0 - critical),
+                        omega=10.0**log_omega, amplitude=10.0**log_amplitude,
+                        area=10.0**log_area, direction=direction)
+    obs = integrate_surface(spec, x_max_kappa=depth, combine_spins=combine_spins)
+    W, P_z, S_y = surface_closed_forms(spec)
+    kept = 1.0 - math.exp(-2.0 * depth)
+    for total, closed in ((obs.W, W), (obs.P_z, P_z),
+                          (obs.S_y, 0.5 * S_y if combine_spins else S_y)):
+        assert abs(total / closed - kept) <= 1e-14
 
 
 @pytest.mark.parametrize("family, m, n", [("TE", 201, 0), ("TM", 1, 300),
