@@ -1,12 +1,14 @@
 """Integrated observables: energy, momentum, total transverse spin, quantization.
 
-Guided totals are tensor-product Gauss-Legendre quadratures over the cross
-section ``[0,a] x [0,b]`` in the plane ``z = 0``, times the length ``L``:
-the densities of a propagating mode do not depend on z.  Surface totals are
-one-node midpoint rules in ``u = exp(-2 kappa x)`` over the decay axis,
-exact because every surface density is a constant times ``u``, truncated
-where the ``exp(-2 kappa x)`` tail is negligible, times the transverse
-quantization area.  The integrands are the pointwise densities of
+Guided totals are tensor-product midpoint rules over the cross section
+``[0,a] x [0,b]`` in the plane ``z = 0``, times the length ``L``: the
+densities of a propagating mode do not depend on z, and they are trig
+polynomials periodic on the cell with at most ``max(m, n)`` harmonics per
+axis, so a rule with more nodes than harmonics is exact to rounding.
+Surface totals are one-node midpoint rules in ``u = exp(-2 kappa x)`` over
+the decay axis, exact because every surface density is a constant times
+``u``, truncated where the ``exp(-2 kappa x)`` tail is negligible, times the
+transverse quantization area.  The integrands are the pointwise densities of
 :mod:`transpin.spin`, bit for bit (a guided plane forms ``|E_i|^2``,
 ``|B_i|^2`` and ``Re(E x B*)_z`` once and sums them as those densities do),
 so the totals are independent of the closed forms they are tested against.
@@ -71,7 +73,7 @@ __all__ = [
 
 #: quanta within this distance of an integer are reported as that integer
 _QUANTA_SNAP = 1e-6
-#: largest max(m, n) the guided quadrature plane is built for (~440 MB there)
+#: largest max(m, n) the guided quadrature plane is built for
 _MAX_MODE_INDEX = 200
 
 
@@ -103,13 +105,6 @@ class SurfaceObservables:
     ellipticity: float
     n_quanta: float
     n_quanta_integer: int | None
-
-
-def _gauss_legendre(n: int, lo: float, hi: float):
-    """Gauss-Legendre nodes and weights mapped to ``[lo, hi]``."""
-    x, w = np.polynomial.legendre.leggauss(n)
-    half = 0.5 * (hi - lo)
-    return half * x + 0.5 * (hi + lo), half * w
 
 
 def _snap_quanta(n_quanta: float) -> int | None:
@@ -146,53 +141,55 @@ def _check_float_range(**values: float) -> None:
 
 
 def _transverse_rules(spec: GuidedModeSpec):
-    """Gauss-Legendre ``(nodes, weights)`` rules on ``[0, a]`` and ``[0, b]``.
+    """Midpoint ``(nodes, spacing)`` rules on ``[0, a]`` and ``[0, b]``.
 
-    Each axis gets ``max(8*max(m, n), 20)`` nodes, the one transverse rule
-    of every guided quadrature.  The z = 0 plane of :func:`_guided_plane`
-    grows as ``max(m, n)^2`` (about 140 MB for the whole process at
-    ``max(m, n) = 100``, about 440 MB at 200), and ``max(m, n)`` above
-    ``_MAX_MODE_INDEX`` raises :class:`ResolutionError`.  The bound keeps
-    the node count an index-sized integer; it does not keep memory small.
+    Each axis gets ``N = max(2(m+n)+2, 2*max(m, n)+1)`` uniform nodes at the
+    cell midpoints, the one transverse rule of every guided quadrature.
+    Every guided integrand is periodic on the cell with at most ``max(m, n)``
+    harmonics per axis, and the midpoint rule integrates each harmonic below
+    ``N`` exactly (discrete orthogonality), so a plane integral is
+    ``hx * hy * f.sum()`` to rounding.  ``max(m, n)`` above
+    ``_MAX_MODE_INDEX`` raises :class:`ResolutionError`.
     """
     m, n = spec.index.m, spec.index.n
-    nodes = max(8 * max(m, n), 20)
+    nodes = max(2 * (m + n) + 2, 2 * max(m, n) + 1)
     if max(m, n) > _MAX_MODE_INDEX:
         raise ResolutionError(
-            f"mode indices m = {m}, n = {n} need {nodes} Gauss-Legendre nodes "
-            f"per transverse axis; the quadrature supports max(m, n) <= "
-            f"{_MAX_MODE_INDEX} ({8 * _MAX_MODE_INDEX} nodes)")
-    return (_gauss_legendre(nodes, 0.0, spec.geometry.a),
-            _gauss_legendre(nodes, 0.0, spec.geometry.b))
+            f"mode indices m = {m}, n = {n} need {nodes} midpoint nodes per "
+            f"transverse axis; the quadrature supports max(m, n) <= "
+            f"{_MAX_MODE_INDEX}")
+    hx, hy = spec.geometry.a / nodes, spec.geometry.b / nodes
+    centres = np.arange(nodes) + 0.5
+    return (centres * hx, hx), (centres * hy, hy)
 
 
 def _guided_plane(spec: GuidedModeSpec):
-    """The weights and field bilinears of one guided quadrature plane.
+    """The cell weight and field bilinears of one guided quadrature plane.
 
     Evaluates the phasor once on the grid of :func:`_transverse_rules` in
-    the plane ``z = 0`` and returns ``(wx, wy, e2, b2, s_z)``: the two weight
-    vectors, ``|E_i|^2`` and ``|B_i|^2`` with shape ``(nx, ny, 3)``, and
+    the plane ``z = 0`` and returns ``(cell, e2, b2, s_z)``: the node weight
+    ``hx * hy``, ``|E_i|^2`` and ``|B_i|^2`` with shape ``(nx, ny, 3)``, and
     ``Re(E x B*)_z`` with shape ``(nx, ny)``, formed as :func:`numpy.cross`
     forms that component.  A propagating mode carries ``exp(i k_z z)`` with
     real ``k_z``, so every bilinear density is the same on each plane, and a
-    cell integral is ``L`` times the plane integral.
+    cell integral is ``L`` times the plane integral ``cell * f.sum()``.
     """
-    (xs, wx), (ys, wy) = _transverse_rules(spec)
+    (xs, hx), (ys, hy) = _transverse_rules(spec)
     field = guided_field_phasor(spec, (xs[:, None], ys[None, :], 0.0))
     E, B = field.E, field.B
     # an overflow shows as inf or nan in a total, which the range checks name
     with np.errstate(over="ignore", invalid="ignore"):
         s_z = np.real(E[..., 0] * np.conj(B[..., 1]) - E[..., 1] * np.conj(B[..., 0]))
-        return wx, wy, np.abs(E) ** 2, np.abs(B) ** 2, s_z
+        return hx * hy, np.abs(E) ** 2, np.abs(B) ** 2, s_z
 
 
 def integrate_guided(spec: GuidedModeSpec,
                      combine_spins: bool = False) -> GuidedObservables:
     """Quadrature totals ``(W, P_z, S_perp, ...)`` of a propagating guided mode.
 
-    The rule is ``max(8*max(m, n), 20)`` Gauss-Legendre nodes per transverse
-    axis on the plane ``z = 0``, times the length ``L`` (the densities do
-    not depend on z), for ~1e-14 relative accuracy.  ``theta`` and
+    The rule is ``max(2(m+n)+2, 2*max(m, n)+1)`` midpoint nodes per
+    transverse axis on the plane ``z = 0``, times the length ``L`` (the
+    densities do not depend on z), exact to rounding.  ``theta`` and
     ``ellipticity = h_long/h_perp = tan(theta)`` are read from the mean
     squares of the field that carries the family's longitudinal component:
     E for TM, where ``e = omega_c/(|k_z| c)`` exactly, and B for TE, whose
@@ -219,17 +216,17 @@ def integrate_guided(spec: GuidedModeSpec,
     k_z = float(np.real(spec.k_z))
     length = spec.geometry.length
 
-    wx, wy, e2, b2, s_z = _guided_plane(spec)
+    cell, e2, b2, s_z = _guided_plane(spec)
     with np.errstate(over="ignore", invalid="ignore"):
         w_den = 0.25 * con.eps0 * (np.sum(e2, axis=-1) + con.c**2 * np.sum(b2, axis=-1))
-        W = length * float(np.einsum("i,j,ij->", wx, wy, w_den))
-        P_z = length * float(np.einsum("i,j,ij->", wx, wy, 0.5 * con.eps0 * s_z))
+        W = length * float(cell * w_den.sum())
+        P_z = length * float(cell * (0.5 * con.eps0 * s_z).sum())
         # before the intensities, which overflow whenever W does
         _check_float_range(W=W)
         v2 = b2 if spec.index.family is ModeFamily.TE else e2
         area = spec.geometry.a * spec.geometry.b
-        h_perp2 = float(np.einsum("i,j,ij->", wx, wy, v2[..., 0] + v2[..., 1])) / area
-        h_long2 = float(np.einsum("i,j,ij->", wx, wy, v2[..., 2])) / area
+        h_perp2 = float(cell * (v2[..., 0] + v2[..., 1]).sum()) / area
+        h_long2 = float(cell * v2[..., 2].sum()) / area
         _check_float_range(h_perp2=h_perp2, h_long2=h_long2)
     sin_2theta = 2.0 * math.sqrt(h_perp2 * h_long2) / (h_perp2 + h_long2)
     S_perp = math.copysign(1.0, k_z) * (W / omega) * sin_2theta
@@ -464,7 +461,7 @@ def balance_integral(spec: GuidedModeSpec, b_amplitude_scale: float = 1.0) -> fl
     """
     _require_propagating(spec, "balance integral")
     con = spec.constants
-    wx, wy, e2, b2, _ = _guided_plane(spec)
+    cell, e2, b2, _ = _guided_plane(spec)
     b2 = np.sum(b2, axis=-1) * b_amplitude_scale**2
     integrand = 0.25 * con.eps0 * (np.sum(e2, axis=-1) - con.c**2 * b2)
-    return spec.geometry.length * float(np.einsum("i,j,ij->", wx, wy, integrand))
+    return spec.geometry.length * float(cell * integrand.sum())

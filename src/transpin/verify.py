@@ -7,14 +7,14 @@ reconciliations (see ``docs/derivations.md``): the TE_m0 doubling of the
 volume totals, the surface momentum-per-quantum form, and the circular-basis
 pole convention each have a dedicated check.
 
-The whole catalogue takes about 0.10-0.13 s in process on one core of a
-2-core Xeon host (Python 3.11, numpy 2.4).  Its largest check is
-``guided-totals-vs-closed-forms`` at 23-25 ms; every surface check takes
-under 3 ms.  The checks that sample many directions or points do so in one
-array call each:
-``algebra-helicity-eigensystem`` (1050 directions) takes about 4 ms,
-``guided-time-average-oracle`` 3 ms and ``surface-pipeline-and-oracle``
-2 ms.
+The whole catalogue takes about 30-35 ms in process on one core of a
+2-core Xeon host (Python 3.11, numpy 2.4).  No check takes more than about
+3 ms: the largest are ``guided-totals-vs-closed-forms`` and
+``fields-maxwell-residuals``.  The checks that sample many directions or
+points do so in one array call each:
+``algebra-helicity-eigensystem`` (1050 directions) takes about 2 ms,
+``guided-time-average-oracle`` 1.5 ms and ``surface-pipeline-and-oracle``
+under 1 ms.
 """
 
 from __future__ import annotations

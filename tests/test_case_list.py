@@ -9,11 +9,12 @@ depends on the host's SIMD level (AVX-512 ``exp``, say) fails the second
 half on a host that has it.
 
 A change that moves output bits on purpose regenerates the digests with
-``PYTHONPATH=src python tests/test_case_list.py > tests/case_digests.json``
-and names the cases that moved.  ``PYTHONPATH=src python
+``PYTHONPATH=src python tests/test_case_list.py``, which rewrites
+``tests/case_digests.json`` in place and prints to stderr the cases whose
+digest changed, the list the change names.  ``PYTHONPATH=src python
 tests/test_case_list.py --diff`` prints the cases whose digest differs from
 the committed one (a case missing from the file counts) and exits 1 if any
-does.
+does, without writing.
 """
 
 import contextlib
@@ -158,5 +159,6 @@ if __name__ == "__main__":
             print(case)
         sys.exit(1 if moved else 0)
     else:
-        json.dump(digests, sys.stdout, indent=1)
-        sys.stdout.write("\n")
+        for case in moved_cases(digests):
+            print(case, file=sys.stderr)
+        DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")

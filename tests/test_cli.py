@@ -521,9 +521,22 @@ def test_oversized_mode_index_is_a_config_error(to_file, tmp_path):
     assert result.stdout == "" and "Traceback" not in result.stderr
     assert result.stderr == (
         "config error: mode indices m = 100000000000000000000, n = 0 need "
-        "800000000000000000000 Gauss-Legendre nodes per transverse axis; the "
-        "quadrature supports max(m, n) <= 200 (1600 nodes)\n")
+        "200000000000000000002 midpoint nodes per transverse axis; the "
+        "quadrature supports max(m, n) <= 200\n")
     assert not path.exists()
+
+
+def test_guided_report_leaves_numpy_polynomial_unimported():
+    # the midpoint rules need no node tables, and a fresh process that never
+    # imports numpy.polynomial is about 1 MB smaller
+    script = (
+        "import contextlib, io, sys\n"
+        "from transpin import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert cli.main(['report', '--family', 'TE', '--m', '3', '--n', '2']) == 0\n"
+        "assert 'numpy.polynomial' not in sys.modules\n")
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("args, residual", [

@@ -39,6 +39,30 @@ def test_guided_quadrature_matches_closed_forms(make_guided, family, m, n, ratio
     assert_allclose(obs.S_perp, S, rtol=1e-9)
 
 
+_INDICES = st.one_of(
+    st.tuples(st.just("TM"), st.integers(1, 200), st.integers(1, 200)),
+    st.tuples(st.just("TE"), st.integers(1, 200), st.integers(0, 200)))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(index=_INDICES, ratio=st.floats(1.0, 5.0, exclude_min=True),
+       log_aspect=st.floats(-1.0, 0.0), log_amplitude=st.floats(-6.0, 6.0),
+       direction=st.sampled_from([1, -1]))
+def test_midpoint_rule_is_exact_up_to_the_index_bound(make_guided, bench_geometry, index,
+                                                      ratio, log_aspect, log_amplitude,
+                                                      direction):
+    family, m, n = index
+    geometry = replace(bench_geometry, b=bench_geometry.a * 10.0**log_aspect)
+    spec = make_guided(family, m, n, ratio=ratio, amplitude=10.0**log_amplitude,
+                       direction=direction, geometry=geometry)
+    obs = integrate_guided(spec)
+    for total, closed in zip((obs.W, obs.P_z, obs.S_perp), guided_closed_forms(spec)):
+        assert abs(total - closed) <= 1e-9 * abs(closed)
+    assert abs(balance_integral(spec)) <= 1e-12 * obs.W
+    expected = spec.omega_c / (abs(float(np.real(spec.k_z))) * spec.constants.c)
+    assert abs(obs.ellipticity - expected) <= 1e-10 * expected
+
+
 def test_half_width_mode_doubles_the_generic_total(make_guided):
     """A TE_m0 profile has no second transverse average, so its volume
     totals carry twice the value the generic two-average expression gives."""
@@ -332,7 +356,7 @@ def test_surface_rule_is_exact_for_the_truncated_integral(
                                           ("TE", 10**20, 3)])
 def test_guided_grid_is_bounded(make_guided, family, m, n):
     spec = make_guided(family, m, n, ratio=1.5)
-    nodes = 8 * max(m, n)
+    nodes = max(2 * (m + n) + 2, 2 * max(m, n) + 1)
     for integrate in (integrate_guided, balance_integral):
         with pytest.raises(ResolutionError, match=rf"m = {m}, n = {n} need {nodes} "):
             integrate(spec)
@@ -355,7 +379,7 @@ def test_each_guided_quadrature_evaluates_one_plane(make_guided, monkeypatch, qu
     monkeypatch.setattr(observables, "guided_field_phasor", spy)
     monkeypatch.setattr(observables, "momentum_density", crosses.append)
     quadrature(make_guided("TE", 3, 2))
-    assert grids == [(24, 24)]  # max(8 * max(m, n), 20) nodes per axis
+    assert grids == [(12, 12)]  # max(2(m+n)+2, 2*max(m, n)+1) nodes per axis
     assert crosses == []  # Re(E x B*)_z is formed from its two products
 
 
@@ -366,11 +390,11 @@ def _reference_plane(spec, b_amplitude_scale=1.0):
     and each field's component squares formed one at a time.
     """
     con, geometry = spec.constants, spec.geometry
-    (xs, wx), (ys, wy) = observables._transverse_rules(spec)
+    (xs, hx), (ys, hy) = observables._transverse_rules(spec)
     field = guided_field_phasor(spec, (xs[:, None], ys[None, :], 0.0))
 
     def plane(density):
-        return float(np.einsum("i,j,ij->", wx, wy, density))
+        return float(hx * hy * density.sum())
 
     W = geometry.length * plane(energy_density(field, con))
     P_z = geometry.length * plane(momentum_density(field, con)[..., 2])
@@ -415,7 +439,7 @@ def test_guided_totals_are_linear_in_length_bit_for_bit(make_guided):
 
 def test_guided_quadrature_memory_follows_one_plane(make_guided):
     spec = make_guided("TE", 48, 5, ratio=1.5)
-    nodes = 8 * 48
+    nodes = 2 * (48 + 5) + 2
     tracemalloc.start()
     try:
         integrate_guided(spec)
