@@ -21,9 +21,11 @@ configuration error, 2 I/O error, 3 verification failure.
 
 Spin-map rows are written in y-major order (x fastest), each as soon as it
 is formatted, and floats in Python's shortest round-trip representation, so
-output bytes are identical across runs.  A row whose spin values have the
-bits of the row before it reuses that row's value text: a TE_m0 map, a map
-below cutoff and every surface map format their values once.
+output bytes are identical across runs.  A row's text is built once per
+distinct spin array, split at its ``y``, and each row is that template
+joined on ``repr(y)``: a row whose spin values have the bits of the row
+before it formats only its ``y``, so a TE_m0 map, a map below cutoff and
+every surface map format their points once.
 """
 
 from __future__ import annotations
@@ -231,10 +233,16 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
 # spinmap
 
 
-def _value_fields(s: np.ndarray) -> list[str]:
-    """``sx,sy,sz,mag`` per row of the spin array ``s``; ``mag`` is the Euclidean norm."""
-    return [f"{sx!r},{sy!r},{sz!r},{math.hypot(sx, sy, sz)!r}"
-            for sx, sy, sz in s.tolist()]
+def _row_pieces(s: np.ndarray, heads: list[str]) -> list[str]:
+    """A row's CSV text split at its ``y``: the row is ``repr(y).join(pieces)``.
+
+    ``heads`` holds ``f"{x!r},"`` per point of the row, then ``""``.  The
+    first piece is the first head; each point then adds
+    ``,sx,sy,sz,mag\\n`` and the next head, so the last piece ends at its
+    line end.  ``mag`` is the Euclidean norm of the spin array ``s``.
+    """
+    return [heads[0], *[f",{sx!r},{sy!r},{sz!r},{math.hypot(sx, sy, sz)!r}\n{head}"
+                        for (sx, sy, sz), head in zip(s.tolist(), heads[1:])]]
 
 
 def _surface_extent(config: RunConfig, key: str, default: float | None = None) -> float:
@@ -262,9 +270,10 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
     spin column, which must be a finite normal float, and the arrays of one
     row, which must fit in memory.  The iterator yields the header line and
     then one chunk per row, so at most a row is held.  The kind sets the
-    extents, the peaks and how a row is sampled.  A row's spin values are
-    formatted only when their bits differ from the last row's: ``repr``
-    follows the bits, and ``==`` would equate ``-0.0`` with ``0.0``.
+    extents, the peaks and how a row is sampled.  Each row is
+    ``repr(y).join(pieces)`` over the template of :func:`_row_pieces`, which
+    is rebuilt only when the row's spin bits differ from the last row's:
+    ``repr`` follows the bits, and ``==`` would equate ``-0.0`` with ``0.0``.
     """
     nx, ny = config["nx"], config["ny"]
     pick = SpinDensityPair.combined if config["combine-spins"] else SpinDensityPair.total
@@ -289,7 +298,7 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
         profile = None if guided else analytic_spin_surface(spec, xs)
         sample = ((lambda y: analytic_spin_guided(spec, (xs, np.full(nx, y)))) if guided
                   else (lambda y: profile))
-        x_fields = [repr(x) for x in xs.tolist()]
+        heads = [f"{x!r}," for x in xs.tolist()] + [""]
     except (ValueError, IndexError, MemoryError) as exc:
         # numpy refuses a size it cannot allocate with any of these three
         raise ConfigurationError(
@@ -306,9 +315,8 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
         for second in stations:
             s = pick(sample(second))
             if s.tobytes() != bits:
-                bits, values = s.tobytes(), _value_fields(s)
-            y = repr(second)
-            yield "".join([f"{x},{y},{v}\n" for x, v in zip(x_fields, values)])
+                bits, pieces = s.tobytes(), _row_pieces(s, heads)
+            yield repr(second).join(pieces)
 
     return rows()
 

@@ -71,6 +71,9 @@ CASES = [
     f"spinmap --kind surface --nx 1001 --ny 2 {_MAP}",
     f"spinmap --kind surface --family TM --x-max-kappa 7.5 --z-periods 2.5 "
     f"--nx 301 --ny 11 {_MAP}",
+    f"spinmap --family TM --m 1 --n 1 --nx 2 --ny 3 {_MAP}",
+    f"spinmap --kind surface --nx 2 --ny 4 {_MAP}",
+    f"spinmap --family TM --m 1 --n 1 --a 1e-7 --b 5e-8 --nx 2 --ny 3 {_MAP}",
     "verify",
     "verify --filter guided",
 ]

@@ -153,9 +153,15 @@ def _expected_map(flags):
     {"kind": "surface", "family": "TM", "x-max-kappa": 3.0, "z-periods": 2.5},
     {"kind": "surface", "family": "TE", "eta": 2.0, "phi-deg": 70.0,
      "x-max-kappa": 5.0, "z-periods": 1.0},
-], ids=["TM21", "TE20", "TE11", "surface-TM", "surface-TE"])
+    # the row template's edges: one head before the first y, a last piece
+    # with no next x, and stations that repr in exponent form
+    {"family": "TM", "m": 1, "n": 1, "nx": 2, "ny": 3},
+    {"kind": "surface", "x-max-kappa": 5.0, "z-periods": 1.0, "nx": 2, "ny": 4},
+    {"family": "TM", "m": 1, "n": 1, "a": 1e-7, "b": 5e-8, "nx": 2, "ny": 3},
+], ids=["TM21", "TE20", "TE11", "surface-TM", "surface-TE", "TM11-nx2", "surface-nx2",
+        "TM11-exponent-stations"])
 def test_spinmap_matches_vectorized_render(mode, combine, capsys):
-    flags = {**mode, "nx": 9, "ny": 6, "combine-spins": combine}
+    flags = {"nx": 9, "ny": 6, **mode, "combine-spins": combine}
     argv = ["spinmap", "--combine-spins" if combine else "--no-combine-spins"]
     for key, value in flags.items():
         if key != "combine-spins":
@@ -178,13 +184,13 @@ def test_spinmap_matches_vectorized_render(mode, combine, capsys):
 def test_rows_whose_spin_bits_repeat_are_formatted_once(args, repeats, monkeypatch,
                                                          capsys):
     formatted = []
-    value_fields = cli._value_fields
+    row_pieces = cli._row_pieces
 
-    def counting(s):
+    def counting(s, heads):
         formatted.append(s.shape)
-        return value_fields(s)
+        return row_pieces(s, heads)
 
-    monkeypatch.setattr(cli, "_value_fields", counting)
+    monkeypatch.setattr(cli, "_row_pieces", counting)
     assert main(["spinmap", *args, "--nx", "9", "--ny", "7"]) == 0
     assert formatted == [(9, 3)] * (1 if repeats else 7)
     assert capsys.readouterr().out.count("\n") == 1 + 9 * 7
