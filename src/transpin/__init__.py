@@ -29,11 +29,9 @@ from .modes import (FieldPhasor, GuidedModeSpec, ModeFamily, ModeIndex,
 from .observables import (GuidedObservables, SurfaceObservables,
                           amplitude_for_quanta, balance_integral,
                           ellipticity_surface, group_velocity_fd,
-                          guided_closed_forms, integrate_guided,
-                          integrate_surface,
+                          integrate_guided, integrate_surface,
                           quantized_transverse_spin_guided,
-                          quantized_transverse_spin_surface,
-                          surface_closed_forms)
+                          quantized_transverse_spin_surface)
 from .spin import (PotentialPhasor, SpinDensityPair, analytic_spin_guided,
                    analytic_spin_surface, energy_density, momentum_density,
                    spin_densities, time_average_oracle, vector_potentials)
@@ -59,8 +57,7 @@ __all__ = [
     "momentum_density", "analytic_spin_guided",
     "analytic_spin_surface", "time_average_oracle",
     "GuidedObservables", "SurfaceObservables", "integrate_guided",
-    "integrate_surface", "guided_closed_forms", "surface_closed_forms",
-    "amplitude_for_quanta", "quantized_transverse_spin_guided",
+    "integrate_surface", "amplitude_for_quanta", "quantized_transverse_spin_guided",
     "quantized_transverse_spin_surface", "ellipticity_surface",
     "balance_integral", "group_velocity_fd",
     "GuidedMassReport", "SurfaceMassReport", "FourMomentumSplit",

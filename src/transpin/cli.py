@@ -38,7 +38,7 @@ import math
 import os
 import sys
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Iterator, Mapping, Sequence, TextIO
+from typing import Any, Callable, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -50,7 +50,7 @@ from .errors import ConfigurationError
 from .modes import (GuidedModeSpec, ModeFamily, ModeIndex, SurfaceWaveSpec,
                     WaveguideGeometry, cutoff_frequency)
 from .observables import (_check_float_range, amplitude_for_quanta,
-                          closed_forms, integrate_guided, integrate_surface)
+                          integrate_guided, integrate_surface)
 from .spin import (SpinDensityPair, _guided_scales, _surface_peak,
                    analytic_spin_guided, analytic_spin_surface)
 from .verify import _rel, run_checks
@@ -277,8 +277,7 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
     """
     nx, ny = config["nx"], config["ny"]
     pick = SpinDensityPair.combined if config["combine-spins"] else SpinDensityPair.total
-    guided = isinstance(spec, GuidedModeSpec)
-    if guided:
+    if config["kind"] == "guided":
         x_max, y_max = spec.geometry.a, spec.geometry.b
         peaks = {}
         if spec.is_propagating:
@@ -287,17 +286,22 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
                 peaks["sx_peak"] = ky * K
             peaks["sy_peak"] = kx * K
             peaks["mag_peak"] = math.hypot(ky * K, kx * K)
+
+        def sampler(xs: np.ndarray) -> Callable[[float], SpinDensityPair]:
+            return lambda y: analytic_spin_guided(spec, (xs, np.full(nx, y)))
     else:
         x_max = _surface_extent(config, "x-max-kappa", 5.0) / spec.kappa
         y_max = _surface_extent(config, "z-periods") * 2.0 * math.pi / abs(spec.k_z)
         peaks = {"x_max": x_max, "z_max": y_max, "sy_peak": _surface_peak(spec)}
+
+        def sampler(xs: np.ndarray) -> Callable[[float], SpinDensityPair]:
+            # time-averaged densities carry no z dependence: one profile serves every row
+            profile = analytic_spin_surface(spec, xs)
+            return lambda z: profile
     _check_float_range(**peaks)
     try:
         xs = np.linspace(0.0, x_max, nx)
-        # time-averaged densities carry no z dependence: one profile serves every surface row
-        profile = None if guided else analytic_spin_surface(spec, xs)
-        sample = ((lambda y: analytic_spin_guided(spec, (xs, np.full(nx, y)))) if guided
-                  else (lambda y: profile))
+        sample = sampler(xs)
         heads = [f"{x!r}," for x in xs.tolist()] + [""]
     except (ValueError, IndexError, MemoryError) as exc:
         # numpy refuses a size it cannot allocate with any of these three
@@ -354,7 +358,7 @@ def cmd_spinmap(config: RunConfig) -> int:
 def _report(config: RunConfig, spec: GuidedModeSpec | SurfaceWaveSpec) -> dict[str, Any]:
     """The report document: mode data and the mass block per kind, the rest shared."""
     combine = config["combine-spins"]
-    if isinstance(spec, GuidedModeSpec):
+    if config["kind"] == "guided":
         obs = integrate_guided(spec, combine_spins=combine)
         spin = "S_perp"
         report = {
@@ -384,7 +388,7 @@ def _report(config: RunConfig, spec: GuidedModeSpec | SurfaceWaveSpec) -> dict[s
         }
         residuals = {}
     observables = asdict(obs)
-    W, P_z, S_closed = closed_forms(spec)
+    W, P_z, S_closed = spec.closed_forms()
     if combine:
         S_closed *= 0.5
     residuals.update({

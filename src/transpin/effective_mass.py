@@ -31,10 +31,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import UnsupportedModeError
 from .modes import (GuidedModeSpec, ModeFamily, SurfaceWaveSpec,
-                    guided_field_phasor)
-from .observables import guided_closed_forms, surface_closed_forms
+                    _require_propagating, guided_field_phasor)
 
 __all__ = [
     "GuidedMassReport",
@@ -100,7 +98,7 @@ def guided_mass_report(spec: GuidedModeSpec) -> GuidedMassReport:
                                 p=None, v_g=None, v_p=None, M0=None)
     k_z = float(np.real(spec.k_z))
     v_g = con.c**2 * k_z / spec.omega
-    W = guided_closed_forms(spec)[0]
+    W = spec.closed_forms()[0]
     M0 = W * math.sqrt(1.0 - (v_g / con.c) ** 2) / con.c**2
     return GuidedMassReport(
         m0=m0, epsilon=epsilon, relativistic_applicable=True,
@@ -132,10 +130,10 @@ def dispersion_residual(spec: GuidedModeSpec | SurfaceWaveSpec,
                         k_z: float | None = None) -> float:
     """Normalized residual of the dispersion relation, zero on-branch.
 
-    Guided: ``omega^2 - c^2 k_z^2 - omega_c^2`` (the cutoff acts as a
-    rest-energy term).  Surface: ``omega^2 - c^2 k_z^2 + c^2 kappa^2`` (the
-    decay rate enters with the opposite sign, which is what makes the
-    effective mass imaginary-free only through kappa*omega/k_z).  The
+    ``omega^2 - c^2 k_z^2 - spec.rest_term``: ``omega_c^2`` for a guided mode
+    (the cutoff acts as a rest-energy term), ``-c^2 kappa^2`` for a surface
+    wave (the decay rate enters with the opposite sign, which is what makes
+    the effective mass imaginary-free only through kappa*omega/k_z).  The
     magnitude is divided by the largest of the three terms, so rounding in
     them reads as ~1e-16 at any scale; for a propagating guided mode that
     term is ``omega^2``.  Pass an explicit ``k_z`` to probe off-branch
@@ -147,11 +145,7 @@ def dispersion_residual(spec: GuidedModeSpec | SurfaceWaveSpec,
     con = spec.constants
     kz = spec.k_z if k_z is None else k_z
     kz2 = complex(kz) ** 2  # imaginary k_z: kz^2 real negative
-    if isinstance(spec, SurfaceWaveSpec):
-        rest = -(con.c * spec.kappa) ** 2
-    else:
-        rest = spec.omega_c**2
-    terms = (spec.omega**2, con.c**2 * kz2, rest)
+    terms = (spec.omega**2, con.c**2 * kz2, spec.rest_term)
     residual = terms[0] - terms[1] - terms[2]
     return abs(complex(residual)) / max(abs(term) for term in terms)
 
@@ -176,7 +170,7 @@ def klein_gordon_stencil_residual(spec: GuidedModeSpec) -> float:
     verify modes), comfortably inside the 1e-6 acceptance bound, while a 1%
     off-branch ``k_z`` fails it by ~4 orders.
     """
-    _require_kg_applicable(spec)
+    _require_propagating(spec, "the (t, z) Klein-Gordon stencil")
     con = spec.constants
     geom, idx = spec.geometry, spec.index
     # antinode of the longitudinal component: |psi| = amplitude there
@@ -204,13 +198,6 @@ def klein_gordon_stencil_residual(spec: GuidedModeSpec) -> float:
     mass_term = (spec.omega_c / con.c) ** 2 * psi0
     residual = d2t / con.c**2 - d2z + mass_term
     return abs(residual) / ((spec.omega / con.c) ** 2 * abs(psi0))
-
-
-def _require_kg_applicable(spec: GuidedModeSpec) -> None:
-    if not spec.is_propagating:
-        raise UnsupportedModeError(
-            "the (t, z) Klein-Gordon stencil needs a real axial wavenumber; "
-            "evanescent modes have no propagating phase to sample")
 
 
 # --------------------------------------------------------------------------
@@ -241,7 +228,7 @@ def minkowski_dot(u, v) -> float:
 
 def four_momentum_split(spec: GuidedModeSpec) -> FourMomentumSplit:
     """Per-quantum four-momentum of a propagating guided mode, split T/L."""
-    _require_kg_applicable(spec)
+    _require_propagating(spec, "the four-momentum split")
     con = spec.constants
     geom, idx = spec.geometry, spec.index
     kx = idx.m * math.pi / geom.a

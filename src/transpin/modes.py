@@ -20,6 +20,10 @@ All phasors carry the full space-time factor ``exp(-i*(omega*t - k_z*z))``
 (or its surface counterpart), so the physical field is simply
 ``Re(phasor)``.  Evaluation functions broadcast over numpy arrays in the
 coordinates; field vectors live on the trailing axis of shape ``(..., 3)``.
+
+Both spec kinds answer ``phasor``, ``closed_forms``, ``rest_term`` (the
+``Omega^2`` of ``omega^2 = c^2 k_z^2 + Omega^2``), ``fd_scales`` and
+``is_propagating`` for themselves, so a caller needs no branch on the kind.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from enum import Enum
 import numpy as np
 
 from .constants import SI, PhysicalConstants
-from .errors import DomainError, InvalidModeError
+from .errors import DomainError, InvalidModeError, UnsupportedModeError
 
 __all__ = [
     "ModeFamily",
@@ -43,7 +47,6 @@ __all__ = [
     "FieldPhasor",
     "cutoff_frequency",
     "axial_wavenumber",
-    "field_phasor",
     "guided_field_phasor",
     "surface_field_phasor",
     "maxwell_residuals",
@@ -139,6 +142,30 @@ def axial_wavenumber(omega: float, omega_c: float, constants: PhysicalConstants 
     return 1j * math.sqrt(-gap) / constants.c
 
 
+def _require_propagating(spec: GuidedModeSpec | SurfaceWaveSpec, what: str) -> None:
+    if not spec.is_propagating:
+        raise UnsupportedModeError(
+            f"{what} is defined for propagating modes only "
+            f"(omega = {spec.omega:.6g} <= omega_c = {spec.omega_c:.6g})")
+
+
+def _ratio(numerator: tuple[float, ...], denominator: tuple[float, ...]) -> float:
+    """``prod(numerator) / prod(denominator)`` on the factors' mantissas.
+
+    The powers of two are applied once at the end, so no partial product
+    underflows, and a result that the plain expression keeps normal has the
+    same bits.  Factors are taken after any ``**``, which does not always
+    round the same on a mantissa.
+    """
+    top = [math.frexp(factor) for factor in numerator]
+    bottom = [math.frexp(factor) for factor in denominator]
+    value = math.prod(m for m, _ in top) / math.prod(m for m, _ in bottom)
+    try:
+        return math.ldexp(value, sum(e for _, e in top) - sum(e for _, e in bottom))
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
 @dataclass(frozen=True)
 class GuidedModeSpec:
     """A fully specified guided mode.
@@ -187,6 +214,41 @@ class GuidedModeSpec:
     @property
     def is_propagating(self) -> bool:
         return self.omega > self.omega_c
+
+    @property
+    def rest_term(self) -> float:
+        """``omega_c^2``: the cutoff acts as a rest-energy term."""
+        return self.omega_c**2
+
+    def phasor(self, point, t=0.0) -> FieldPhasor:
+        """The phasor at ``point`` and ``t``; see :func:`guided_field_phasor`."""
+        return guided_field_phasor(self, point, t)
+
+    def closed_forms(self) -> tuple[float, float, float]:
+        """Closed-form ``(W, P_z, S_perp)`` of a propagating guided mode.
+
+        With ``V = a*b*L`` and ``nu = 2`` for TE_m0, else 1: TE_m0 keeps
+        ``cos^2(0*y) = 1``, so one transverse average of 1/2 is absent::
+
+            W      = nu * eps0 omega^2 V h^2 / (8 omega_c^2)
+            P_z    = nu * eps0 omega k_z V h^2 / (8 omega_c^2)
+            S_perp = nu * eps0 c k_z V h^2 / (4 omega_c omega)
+        """
+        _require_propagating(self, "closed-form totals")
+        con = self.constants
+        nu = 2.0 if (self.index.family is ModeFamily.TE and self.index.n == 0) else 1.0
+        V = self.geometry.volume
+        h2 = self.amplitude**2
+        omega, omega_c = self.omega, self.omega_c
+        k_z = float(np.real(self.k_z))
+        W = _ratio((nu, con.eps0, omega**2, V, h2), (8.0, omega_c**2))
+        P_z = _ratio((nu, con.eps0, omega, k_z, V, h2), (8.0, omega_c**2))
+        S_perp = _ratio((nu, con.eps0, con.c, k_z, V, h2), (4.0, omega_c, omega))
+        return W, P_z, S_perp
+
+    def fd_scales(self) -> tuple[float, float]:
+        """Step ``h = 1e-6 min(a, b)`` and scale ``omega/c`` of :func:`maxwell_residuals`."""
+        return 1e-6 * min(self.geometry.a, self.geometry.b), self.omega / self.constants.c
 
 
 @dataclass(frozen=True)
@@ -242,6 +304,39 @@ class SurfaceWaveSpec:
     def k_z(self) -> float:
         """Signed axial wavenumber; ``|k_z| > omega/c`` always."""
         return self.direction * (self.omega / self.constants.c) * self.eta * math.sin(self.phi)
+
+    #: a surface wave always carries energy along z
+    is_propagating = True
+
+    @property
+    def rest_term(self) -> float:
+        """``-(c kappa)^2``: the decay rate enters with the opposite sign."""
+        return -(self.constants.c * self.kappa) ** 2
+
+    def phasor(self, point, t=0.0) -> FieldPhasor:
+        """The phasor at ``point`` and ``t``; see :func:`surface_field_phasor`."""
+        return surface_field_phasor(self, point, t)
+
+    def closed_forms(self) -> tuple[float, float, float]:
+        """Closed-form ``(W, P_z, S_y)`` of a surface wave.
+
+        With ``A`` the transverse area::
+
+            W   = eps0 A h'^2 k_z^2 c^2 / (4 kappa omega^2)
+            P_z = eps0 A h'^2 k_z / (4 kappa omega)
+            S_y = eps0 A h'^2 k_z c^2 / (2 omega^3)
+        """
+        con = self.constants
+        A, h2 = self.area, self.amplitude**2
+        omega, k_z, kappa = self.omega, self.k_z, self.kappa
+        W = _ratio((con.eps0, A, h2, k_z**2, con.c**2), (4.0, kappa, omega**2))
+        P_z = _ratio((con.eps0, A, h2, k_z), (4.0, kappa, omega))
+        S_y = _ratio((con.eps0, A, h2, k_z, con.c**2), (2.0, omega**3))
+        return W, P_z, S_y
+
+    def fd_scales(self) -> tuple[float, float]:
+        """Step ``h = 1e-6/kappa`` and scale ``|k_z|`` of :func:`maxwell_residuals`."""
+        return 1e-6 / self.kappa, abs(self.k_z)
 
 
 @dataclass(frozen=True)
@@ -364,19 +459,6 @@ def surface_field_phasor(spec: SurfaceWaveSpec, point, t=0.0) -> FieldPhasor:
     return FieldPhasor(E=E, B=B)
 
 
-def field_phasor(spec: GuidedModeSpec | SurfaceWaveSpec, point, t=0.0) -> FieldPhasor:
-    """Evaluate the phasor of a guided mode or a surface wave at ``point`` and ``t``.
-
-    Dispatches on the spec type to :func:`guided_field_phasor` or
-    :func:`surface_field_phasor`; see those for the coordinate domains.
-    """
-    if isinstance(spec, GuidedModeSpec):
-        return guided_field_phasor(spec, point, t)
-    if isinstance(spec, SurfaceWaveSpec):
-        return surface_field_phasor(spec, point, t)
-    raise TypeError(f"unsupported spec type {type(spec).__name__}")
-
-
 # --------------------------------------------------------------------------
 # finite-difference Maxwell diagnostics
 
@@ -400,20 +482,15 @@ def maxwell_residuals(spec, point, t=0.0) -> dict:
     """Normalized source-free Maxwell residuals at an interior point.
 
     Computes ``div E``, ``div B`` and ``curl E - i*omega*B`` (Faraday for the
-    ``exp(-i*omega*t)`` convention) by central differences, normalized by
-    ``|k_scale| * max(|E|, c|B|)``.  A correct mode implementation keeps all
-    three below ~1e-10; the acceptance threshold is 1e-8.
+    ``exp(-i*omega*t)`` convention) by central differences with the step
+    ``h``, normalized by ``k_scale * max(|E|, c|B|)``; ``(h, k_scale)`` is
+    ``spec.fd_scales()``.  A correct mode implementation keeps all three
+    below ~1e-10; the acceptance threshold is 1e-8.
     """
     con = spec.constants
-    f0 = field_phasor(spec, point, t)
-    if isinstance(spec, GuidedModeSpec):
-        h = 1e-6 * min(spec.geometry.a, spec.geometry.b)
-        k_scale = spec.omega / con.c
-    else:
-        h = 1e-6 / spec.kappa
-        k_scale = abs(spec.k_z)
-
-    dE, dB = _fd_vector_derivatives(lambda p: field_phasor(spec, p, t), point, h)
+    f0 = spec.phasor(point, t)
+    h, k_scale = spec.fd_scales()
+    dE, dB = _fd_vector_derivatives(lambda p: spec.phasor(p, t), point, h)
     div_e = dE[0][..., 0] + dE[1][..., 1] + dE[2][..., 2]
     div_b = dB[0][..., 0] + dB[1][..., 1] + dB[2][..., 2]
     curl_e = np.stack([

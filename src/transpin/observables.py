@@ -13,19 +13,8 @@ transverse quantization area.  The integrands are the pointwise densities of
 ``|B_i|^2`` and ``Re(E x B*)_z`` once and sums them as those densities do),
 so the totals are independent of the closed forms they are tested against.
 
-Closed forms (propagating modes; ``V = a*b*L``, ``nu = 2`` for TE_m0 and 1
-otherwise -- the n = 0 modes lose one transverse average of 1/2)::
-
-    guided   W      = nu * eps0 omega^2 V h^2 / (8 omega_c^2)
-             P_z    = nu * eps0 omega k_z V h^2 / (8 omega_c^2)
-             S_perp = nu * eps0 c k_z V h^2 / (4 omega_c omega)
-
-    surface  W      = eps0 A h'^2 k_z^2 c^2 / (4 kappa omega^2)
-             P_z    = eps0 A h'^2 k_z / (4 kappa omega)
-             S_y    = eps0 A h'^2 k_z c^2 / (2 omega^3)
-
-Setting ``W = n hbar omega`` fixes the amplitude for ``n`` quanta and turns
-the totals into the per-quantum laws::
+Setting ``W = n hbar omega`` in ``spec.closed_forms()`` fixes the amplitude
+for ``n`` quanta and turns the totals into the per-quantum laws::
 
     guided   P_z    = n hbar k_z
              S_perp = 2 n hbar c k_z omega_c / omega^2  = +/- n hbar sin(2 theta)
@@ -50,9 +39,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import ResolutionError, UnsupportedModeError
+from .errors import ResolutionError
 from .modes import (GuidedModeSpec, ModeFamily, SurfaceWaveSpec,
-                    guided_field_phasor, surface_field_phasor)
+                    _require_propagating, guided_field_phasor,
+                    surface_field_phasor)
 from .spin import energy_density, momentum_density, spin_densities
 
 __all__ = [
@@ -60,9 +50,6 @@ __all__ = [
     "SurfaceObservables",
     "integrate_guided",
     "integrate_surface",
-    "closed_forms",
-    "guided_closed_forms",
-    "surface_closed_forms",
     "group_velocity_fd",
     "amplitude_for_quanta",
     "quantized_transverse_spin_guided",
@@ -112,19 +99,6 @@ def _snap_quanta(n_quanta: float) -> int | None:
     if nearest >= 1 and abs(n_quanta - nearest) <= _QUANTA_SNAP:
         return int(nearest)
     return None
-
-
-def _neumann(spec: GuidedModeSpec) -> float:
-    # TE_m0 keeps cos^2(0*y) = 1: one transverse average of 1/2 is absent,
-    # doubling every volume total relative to the generic m,n >= 1 forms.
-    return 2.0 if (spec.index.family is ModeFamily.TE and spec.index.n == 0) else 1.0
-
-
-def _require_propagating(spec: GuidedModeSpec, what: str) -> None:
-    if not spec.is_propagating:
-        raise UnsupportedModeError(
-            f"{what} is defined for propagating modes only "
-            f"(omega = {spec.omega:.6g} <= omega_c = {spec.omega_c:.6g})")
 
 
 def _check_float_range(**values: float) -> None:
@@ -300,65 +274,6 @@ def integrate_surface(spec: SurfaceWaveSpec, x_max_kappa: float = 20.0,
 
 
 # --------------------------------------------------------------------------
-# closed forms
-
-
-def _ratio(numerator: tuple[float, ...], denominator: tuple[float, ...]) -> float:
-    """``prod(numerator) / prod(denominator)`` on the factors' mantissas.
-
-    The powers of two are applied once at the end, so no partial product
-    underflows, and a result that the plain expression keeps normal has the
-    same bits.  Factors are taken after any ``**``, which does not always
-    round the same on a mantissa.
-    """
-    top = [math.frexp(factor) for factor in numerator]
-    bottom = [math.frexp(factor) for factor in denominator]
-    value = math.prod(m for m, _ in top) / math.prod(m for m, _ in bottom)
-    try:
-        return math.ldexp(value, sum(e for _, e in top) - sum(e for _, e in bottom))
-    except OverflowError:
-        return math.copysign(math.inf, value)
-
-
-def guided_closed_forms(spec: GuidedModeSpec) -> tuple[float, float, float]:
-    """Closed-form ``(W, P_z, S_perp)`` of a propagating guided mode."""
-    _require_propagating(spec, "closed-form totals")
-    con = spec.constants
-    nu = _neumann(spec)
-    V = spec.geometry.volume
-    h2 = spec.amplitude**2
-    omega, omega_c = spec.omega, spec.omega_c
-    k_z = float(np.real(spec.k_z))
-    W = _ratio((nu, con.eps0, omega**2, V, h2), (8.0, omega_c**2))
-    P_z = _ratio((nu, con.eps0, omega, k_z, V, h2), (8.0, omega_c**2))
-    S_perp = _ratio((nu, con.eps0, con.c, k_z, V, h2), (4.0, omega_c, omega))
-    return W, P_z, S_perp
-
-
-def closed_forms(spec: GuidedModeSpec | SurfaceWaveSpec) -> tuple[float, float, float]:
-    """Closed-form ``(W, P_z, S)`` of a guided mode or a surface wave.
-
-    ``S`` is ``S_perp`` for a guided mode and ``S_y`` for a surface wave.
-    """
-    if isinstance(spec, GuidedModeSpec):
-        return guided_closed_forms(spec)
-    if isinstance(spec, SurfaceWaveSpec):
-        return surface_closed_forms(spec)
-    raise TypeError(f"unsupported spec type {type(spec).__name__}")
-
-
-def surface_closed_forms(spec: SurfaceWaveSpec) -> tuple[float, float, float]:
-    """Closed-form ``(W, P_z, S_y)`` of a surface wave."""
-    con = spec.constants
-    A, h2 = spec.area, spec.amplitude**2
-    omega, k_z, kappa = spec.omega, spec.k_z, spec.kappa
-    W = _ratio((con.eps0, A, h2, k_z**2, con.c**2), (4.0, kappa, omega**2))
-    P_z = _ratio((con.eps0, A, h2, k_z), (4.0, kappa, omega))
-    S_y = _ratio((con.eps0, A, h2, k_z, con.c**2), (2.0, omega**3))
-    return W, P_z, S_y
-
-
-# --------------------------------------------------------------------------
 # velocities
 
 
@@ -396,10 +311,9 @@ def amplitude_for_quanta(n: int, spec) -> float:
     amplitude already present on ``spec`` is ignored.
     """
     n = _check_quanta(n)
-    if isinstance(spec, GuidedModeSpec):
-        _require_propagating(spec, "quantized amplitude")
+    _require_propagating(spec, "quantized amplitude")
     target = n * spec.constants.hbar * spec.omega
-    return math.sqrt(target / closed_forms(replace(spec, amplitude=1.0))[0])
+    return math.sqrt(target / replace(spec, amplitude=1.0).closed_forms()[0])
 
 
 def quantized_transverse_spin_guided(n: int, spec: GuidedModeSpec) -> float:

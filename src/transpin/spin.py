@@ -31,8 +31,7 @@ import numpy as np
 
 from .constants import SI, PhysicalConstants
 from .errors import ConfigurationError, DomainError
-from .modes import (FieldPhasor, GuidedModeSpec, ModeFamily, SurfaceWaveSpec,
-                    field_phasor)
+from .modes import FieldPhasor, GuidedModeSpec, ModeFamily, SurfaceWaveSpec
 
 __all__ = [
     "PotentialPhasor",
@@ -260,7 +259,7 @@ def _time_major_phasor(spec, point, t) -> FieldPhasor:
     """
     t = np.asarray(t, dtype=float)
     axes = t.shape + (1,) * np.broadcast(*point).ndim
-    return field_phasor(spec, point, t.reshape(axes))
+    return spec.phasor(point, t.reshape(axes))
 
 
 def instantaneous_spin_sampler(spec, point):

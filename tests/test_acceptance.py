@@ -17,16 +17,15 @@ from numpy.testing import assert_allclose
 from transpin import (amplitude_for_quanta, analytic_spin_guided,
                       analytic_spin_surface, balance_integral,
                       build_spin_matrices, energy_density,
-                      guided_closed_forms, guided_field_phasor,
+                      guided_field_phasor,
                       guided_mass_report, helicity_eigensystem,
                       integrate_guided, integrate_surface, momentum_density,
                       quantized_transverse_spin_guided,
                       quantized_transverse_spin_surface, spin_densities,
-                      surface_closed_forms, surface_field_phasor,
+                      surface_field_phasor,
                       surface_mass_report, time_average_oracle)
 from transpin.cli import main
 from transpin.constants import SI
-from transpin.modes import field_phasor
 from transpin.spin import (instantaneous_energy_sampler,
                            instantaneous_spin_sampler)
 from transpin.verify import run_checks
@@ -56,7 +55,7 @@ def test_criterion_01_volume_totals_match_closed_forms(make_guided):
             for ratio in RATIOS:
                 spec = make_guided(family, m, n, ratio=ratio)
                 obs = integrate_guided(spec)
-                W, P_z, S = guided_closed_forms(spec)
+                W, P_z, S = spec.closed_forms()
                 assert_allclose(obs.W, W, rtol=1e-9)
                 assert_allclose(obs.P_z, P_z, rtol=1e-9)
                 assert_allclose(obs.S_perp, S, rtol=1e-9)
@@ -88,7 +87,7 @@ def test_criterion_03_surface_totals_and_quantization(make_surface):
                 for phi_deg in (50.0, 70.0):
                     spec = make_surface(family, eta=eta, phi_deg=phi_deg)
                     obs = integrate_surface(spec)
-                    W, P_z, S_y = surface_closed_forms(spec)
+                    W, P_z, S_y = spec.closed_forms()
                     assert_allclose(obs.W, W, rtol=1e-9)
                     assert_allclose(obs.P_z, P_z, rtol=1e-9)
                     assert_allclose(obs.S_y, S_y, rtol=1e-9)
@@ -123,7 +122,7 @@ def test_criterion_04_brute_force_time_averages(make_guided, make_surface):
                            for _ in range(8)])
         for spec, spec_points in zip(specs, points):
             for point in spec_points:
-                field = field_phasor(spec, point)
+                field = spec.phasor(point)
                 scale = float(energy_density(field, SI))
                 averaged_s = time_average_oracle(
                     instantaneous_spin_sampler(spec, point), spec.omega, 64)
@@ -190,7 +189,7 @@ def test_criterion_07_energy_balance(make_guided):
         for family, m, n in MODES:
             for ratio in RATIOS:
                 spec = make_guided(family, m, n, ratio=ratio)
-                W = guided_closed_forms(spec)[0]
+                W = spec.closed_forms()[0]
                 assert abs(balance_integral(spec)) <= 1e-12 * W
 
 

@@ -755,6 +755,23 @@ def test_verify_injected_fault_fails_with_exit_three(capsys):
     assert "injected-fault" in captured.err
 
 
+def test_verify_check_that_raises_fails_with_exit_three(monkeypatch, capsys):
+    from transpin import verify
+
+    def raising():
+        return math.sqrt(-1.0)
+
+    monkeypatch.setitem(verify._CHECKS, "guided-mass-identities", raising)
+    assert main(["verify"]) == 3
+    captured = capsys.readouterr()
+    assert captured.err == ("error: check guided-mass-identities failed: measured=nan "
+                            "tolerance=nan (raised ValueError: math domain error)\n")
+    lines = captured.out.splitlines()
+    assert lines[-1] == f"{len(verify._CHECKS) - 1} passed, 1 failed"
+    assert [line.split()[1] for line in lines[:-1]] == verify.check_names()
+    assert lines[verify.check_names().index("guided-mass-identities")].startswith("FAIL")
+
+
 def test_verify_empty_filter_is_a_config_error(capsys):
     assert main(["verify", "--filter", "zzz-none"]) == 1
 

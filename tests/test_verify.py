@@ -6,7 +6,6 @@ import numpy as np
 
 from transpin import (analytic_spin_surface, energy_density, spin_densities,
                       time_average_oracle)
-from transpin.modes import field_phasor
 from transpin.spin import (instantaneous_energy_sampler,
                            instantaneous_spin_sampler)
 from transpin.verify import run_checks
@@ -21,7 +20,7 @@ def _measured(name):
 def _point_oracle_gap(spec, point):
     """One point's spin oracle gap, computed as the catalogue did one point at a time."""
     con = spec.constants
-    field = field_phasor(spec, point)
+    field = spec.phasor(point)
     w = float(energy_density(field, con))
     averaged = time_average_oracle(instantaneous_spin_sampler(spec, point), spec.omega, 64)
     formula = spin_densities(field, spec.omega, con).total()
@@ -30,7 +29,7 @@ def _point_oracle_gap(spec, point):
 
 def _point_energy_gap(spec, point):
     """One point's relative gap between the averaged and the phasor energy density."""
-    w = float(energy_density(field_phasor(spec, point), spec.constants))
+    w = float(energy_density(spec.phasor(point), spec.constants))
     w_avg = float(time_average_oracle(
         instantaneous_energy_sampler(spec, point), spec.omega, 64))
     return abs(w_avg - w) / max(abs(w), 1e-300)
@@ -65,7 +64,7 @@ def test_surface_oracle_equals_a_per_point_loop(make_surface):
     for family in ("TM", "TE"):
         spec = make_surface(family, eta=1.7, phi_deg=58.0)
         xs = rng.uniform(0.0, 4.0 / spec.kappa, 8)
-        pipeline = spin_densities(field_phasor(spec, (xs, 0.0, 0.0)), spec.omega,
+        pipeline = spin_densities(spec.phasor((xs, 0.0, 0.0)), spec.omega,
                                   spec.constants)
         closed = analytic_spin_surface(spec, xs)
         scale = float(np.max(np.abs(closed.total())))
