@@ -18,7 +18,8 @@ from .effective_mass import (FourMomentumSplit, GuidedMassReport,
                              SurfaceMassReport, dispersion_residual,
                              four_momentum_split, guided_mass_report,
                              klein_gordon_stencil_residual, minkowski_dot,
-                             phase_split_residual, surface_mass_report)
+                             phase_split_residual, surface_mass_report,
+                             surface_rest_mass_density)
 from .errors import (ConfigurationError, DomainError, InvalidModeError,
                      RepresentationError, ResolutionError,
                      UnsupportedModeError)
@@ -61,7 +62,8 @@ __all__ = [
     "quantized_transverse_spin_surface", "ellipticity_surface",
     "balance_integral", "group_velocity_fd",
     "GuidedMassReport", "SurfaceMassReport", "FourMomentumSplit",
-    "guided_mass_report", "surface_mass_report", "dispersion_residual",
+    "guided_mass_report", "surface_mass_report", "surface_rest_mass_density",
+    "dispersion_residual",
     "klein_gordon_stencil_residual", "four_momentum_split", "minkowski_dot",
     "phase_split_residual",
     "SpinMatrixSet", "SixSpinor", "HelicityEigensystem",

@@ -357,9 +357,8 @@ def cmd_spinmap(config: RunConfig) -> int:
 
 def _report(config: RunConfig, spec: GuidedModeSpec | SurfaceWaveSpec) -> dict[str, Any]:
     """The report document: mode data and the mass block per kind, the rest shared."""
-    combine = config["combine-spins"]
     if config["kind"] == "guided":
-        obs = integrate_guided(spec, combine_spins=combine)
+        obs = integrate_guided(spec)
         spin = "S_perp"
         report = {
             "m": spec.index.m,
@@ -371,26 +370,24 @@ def _report(config: RunConfig, spec: GuidedModeSpec | SurfaceWaveSpec) -> dict[s
         }
         residuals = {"klein_gordon": klein_gordon_stencil_residual(spec)}
     else:
-        obs = integrate_surface(spec, x_max_kappa=_surface_extent(config, "x-max-kappa", 20.0),
-                                combine_spins=combine)
+        obs = integrate_surface(spec, _surface_extent(config, "x-max-kappa", 20.0))
         spin = "S_y"
-        mass = surface_mass_report(spec)
         report = {
             "eta": spec.eta,
             "phi_deg": math.degrees(spec.phi),
             "kappa": spec.kappa,
             "area": spec.area,
-            "tan_theta_prime": spec.kappa / abs(spec.k_z),
-            "mass": {
-                "m_s": mass.m_s, "M_s": mass.M_s, "epsilon": mass.epsilon,
-                "p": mass.p, "v": mass.v, "gamma": abs(spec.k_z) / spec.kappa,
-            },
+            "tan_theta_prime": obs.ellipticity,
+            "mass": asdict(surface_mass_report(spec)),
         }
         residuals = {}
     observables = asdict(obs)
     W, P_z, S_closed = spec.closed_forms()
-    if combine:
+    if config["combine-spins"]:
+        # the dual-symmetric (s_e + s_m)/2 halves these single-branch spins
+        observables[spin] *= 0.5
         S_closed *= 0.5
+        _check_float_range(**{spin: observables[spin]})
     residuals.update({
         "W": _rel(obs.W, W),
         "P_z": _rel(obs.P_z, P_z),
@@ -403,7 +400,7 @@ def _report(config: RunConfig, spec: GuidedModeSpec | SurfaceWaveSpec) -> dict[s
         "omega": spec.omega,
         "k_z": float(np.real(spec.k_z)),
         "amplitude": spec.amplitude,
-        "combine_spins": combine,
+        "combine_spins": config["combine-spins"],
         "observables": observables,
         f"{spin}_over_hbar": observables[spin] / spec.constants.hbar,
         "residuals": residuals,

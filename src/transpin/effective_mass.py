@@ -40,6 +40,7 @@ __all__ = [
     "FourMomentumSplit",
     "guided_mass_report",
     "surface_mass_report",
+    "surface_rest_mass_density",
     "dispersion_residual",
     "klein_gordon_stencil_residual",
     "four_momentum_split",
@@ -72,19 +73,17 @@ class GuidedMassReport:
 
 @dataclass(frozen=True)
 class SurfaceMassReport:
-    """Effective-mass data of a surface wave (always subluminal)."""
+    """Effective-mass data of a surface wave (always subluminal).
+
+    ``gamma = |k_z|/kappa`` is the Lorentz factor of the transport velocity.
+    """
 
     m_s: float
     M_s: float
     epsilon: float
     p: float
     v: float
-    _profile_scale: float
-    _kappa: float
-
-    def rho0(self, x):
-        """Rest-mass density profile ``rho0(x) = scale * exp(-2 kappa x)``."""
-        return self._profile_scale * np.exp(-2.0 * self._kappa * np.asarray(x, float))
+    gamma: float
 
 
 def guided_mass_report(spec: GuidedModeSpec) -> GuidedMassReport:
@@ -114,12 +113,21 @@ def surface_mass_report(spec: SurfaceWaveSpec) -> SurfaceMassReport:
     m_s = con.hbar * kappa * omega / (con.c**2 * abs_kz)
     # M_s = integral of rho0 over the cross-section and decay axis
     M_s = abs_kz * con.eps0 * spec.area * spec.amplitude**2 / (4.0 * omega**2)
-    scale = (kappa * abs_kz / (2.0 * omega**2)) * con.eps0 * spec.amplitude**2
     return SurfaceMassReport(
         m_s=m_s, M_s=M_s,
         epsilon=con.hbar * omega,
         p=v * con.hbar * omega / con.c**2,
-        v=v, _profile_scale=scale, _kappa=kappa)
+        v=v, gamma=abs_kz / kappa)
+
+
+def surface_rest_mass_density(spec: SurfaceWaveSpec, x):
+    """Rest-mass density ``rho0(x) = (kappa |k_z|/(2 omega^2)) eps0 h'^2 e^{-2 kappa x}``.
+
+    Its integral over the decay axis and the area is ``M_s``.
+    """
+    con, omega, kappa = spec.constants, spec.omega, spec.kappa
+    scale = (kappa * abs(spec.k_z) / (2.0 * omega**2)) * con.eps0 * spec.amplitude**2
+    return scale * np.exp(-2.0 * kappa * np.asarray(x, float))
 
 
 # --------------------------------------------------------------------------

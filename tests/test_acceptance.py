@@ -23,7 +23,8 @@ from transpin import (amplitude_for_quanta, analytic_spin_guided,
                       quantized_transverse_spin_guided,
                       quantized_transverse_spin_surface, spin_densities,
                       surface_field_phasor,
-                      surface_mass_report, time_average_oracle)
+                      surface_mass_report, surface_rest_mass_density,
+                      time_average_oracle)
 from transpin.cli import main
 from transpin.constants import SI
 from transpin.spin import (instantaneous_energy_sampler,
@@ -228,7 +229,8 @@ def test_criterion_08_mass_identities(make_guided, make_surface):
             w = energy_density(field, SI)
             p_z = momentum_density(field, SI)[..., 2]
             assert_allclose(w**2 - (p_z * c) ** 2,
-                            (rep.rho0(xs) * c**2) ** 2, rtol=1e-12)
+                            (surface_rest_mass_density(spec, xs) * c**2) ** 2,
+                            rtol=1e-12)
 
 
 def test_criterion_09_spin_matrix_algebra():

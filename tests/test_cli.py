@@ -356,6 +356,33 @@ def test_surface_report_gamma_and_angle_do_not_follow_the_direction(capsys):
     assert backward["S_y_over_hbar"] < 0.0 < forward["S_y_over_hbar"]
 
 
+@pytest.mark.parametrize("args, spin", [
+    (["--family", "TM", "--m", "1", "--n", "1"], "S_perp"),
+    (["--family", "TE", "--m", "1", "--n", "0"], "S_perp"),
+    (["--kind", "surface"], "S_y"),
+])
+def test_combine_spins_halves_only_the_spin(args, spin, capsys):
+    reports = []
+    for flag in ("--no-combine-spins", "--combine-spins"):
+        assert main(["report", *args, flag]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    plain, half = reports
+    assert half["observables"][spin] == 0.5 * plain["observables"][spin]
+    assert half[f"{spin}_over_hbar"] == 0.5 * plain[f"{spin}_over_hbar"]
+    plain["combine_spins"] = True
+    plain["observables"][spin] = half["observables"][spin]
+    plain[f"{spin}_over_hbar"] = half[f"{spin}_over_hbar"]
+    assert half == plain
+
+
+def test_a_spin_that_halves_to_a_subnormal_is_named(capsys):
+    # the plain S_perp is about 3.0e-308, a normal float; its half is not
+    args = ["report", "--length", "1e-100", "--b", "1e-50", "--amplitude", "3e-69"]
+    assert main(args) == 0
+    assert json.loads(capsys.readouterr().out)["observables"]["S_perp"] >= sys.float_info.min
+    assert _config_error([*args, "--combine-spins"], capsys).startswith("config error: S_perp ")
+
+
 def _key_tree(value):
     if isinstance(value, dict):
         return {key: _key_tree(item) for key, item in value.items()}

@@ -272,14 +272,6 @@ def test_surface_momentum_per_quantum_follows_energy_transport(make_surface):
     assert factor < 1.0
 
 
-def test_combined_convention_halves_the_surface_spin(make_surface):
-    spec = make_surface("TM")
-    total = integrate_surface(spec)
-    combined = integrate_surface(spec, combine_spins=True)
-    assert_allclose(combined.S_y, 0.5 * total.S_y, rtol=1e-12)
-    assert_allclose(combined.W, total.W, rtol=1e-12)
-
-
 def test_surface_direction_reversal(make_surface):
     fwd = integrate_surface(make_surface("TE", direction=+1))
     bwd = integrate_surface(make_surface("TE", direction=-1))
@@ -335,20 +327,19 @@ _DEPTHS = st.one_of(st.sampled_from([12.0, 35.5, 400.0, 1e4, math.inf]),
 @given(family=st.sampled_from(["TM", "TE"]), eta=st.floats(1.05, 4.0),
        phi_fraction=st.floats(0.01, 0.99), log_omega=st.floats(10.0, 16.0),
        log_amplitude=st.floats(-6.0, 6.0), log_area=st.floats(-8.0, 0.0),
-       direction=st.sampled_from([1, -1]), combine_spins=st.booleans(), depth=_DEPTHS)
+       direction=st.sampled_from([1, -1]), depth=_DEPTHS)
 def test_surface_rule_is_exact_for_the_truncated_integral(
         make_surface, family, eta, phi_fraction, log_omega, log_amplitude, log_area,
-        direction, combine_spins, depth):
+        direction, depth):
     # phi between the critical angle asin(1/eta) and grazing incidence
     critical = math.degrees(math.asin(1.0 / eta))
     spec = make_surface(family, eta=eta, phi_deg=critical + phi_fraction * (90.0 - critical),
                         omega=10.0**log_omega, amplitude=10.0**log_amplitude,
                         area=10.0**log_area, direction=direction)
-    obs = integrate_surface(spec, x_max_kappa=depth, combine_spins=combine_spins)
+    obs = integrate_surface(spec, x_max_kappa=depth)
     W, P_z, S_y = spec.closed_forms()
     kept = 1.0 - math.exp(-2.0 * depth)
-    for total, closed in ((obs.W, W), (obs.P_z, P_z),
-                          (obs.S_y, 0.5 * S_y if combine_spins else S_y)):
+    for total, closed in ((obs.W, W), (obs.P_z, P_z), (obs.S_y, S_y)):
         assert abs(total / closed - kept) <= 1e-14
 
 
@@ -466,12 +457,12 @@ _SIGNATURES = {
                           "n_quanta", "n_quanta_integer"),
     "SurfaceObservables": ("W", "P_z", "S_y", "v", "theta_prime", "ellipticity",
                            "n_quanta", "n_quanta_integer"),
-    "integrate_guided": ("spec", "combine_spins"),
-    "integrate_surface": ("spec", "x_max_kappa", "combine_spins"),
+    "integrate_guided": ("spec",),
+    "integrate_surface": ("spec", "x_max_kappa"),
     "group_velocity_fd": ("spec",),
     "amplitude_for_quanta": ("n", "spec"),
     "quantized_transverse_spin_guided": ("n", "spec"),
-    "quantized_transverse_spin_surface": ("n", "spec", "combine_spins"),
+    "quantized_transverse_spin_surface": ("n", "spec"),
     "ellipticity_surface": ("spec",),
     "balance_integral": ("spec", "b_amplitude_scale"),
 }
