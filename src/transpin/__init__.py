@@ -29,9 +29,8 @@ from .modes import (FieldPhasor, GuidedModeSpec, ModeFamily, ModeIndex,
                     surface_field_phasor)
 from .observables import (GuidedObservables, SurfaceObservables,
                           amplitude_for_quanta, balance_integral,
-                          ellipticity_surface, group_velocity_fd,
-                          integrate_guided, integrate_surface,
-                          quantized_transverse_spin_guided,
+                          ellipticity_surface, integrate_guided,
+                          integrate_surface, quantized_transverse_spin_guided,
                           quantized_transverse_spin_surface)
 from .spin import (PotentialPhasor, SpinDensityPair, analytic_spin_guided,
                    analytic_spin_surface, energy_density, momentum_density,
@@ -60,7 +59,7 @@ __all__ = [
     "GuidedObservables", "SurfaceObservables", "integrate_guided",
     "integrate_surface", "amplitude_for_quanta", "quantized_transverse_spin_guided",
     "quantized_transverse_spin_surface", "ellipticity_surface",
-    "balance_integral", "group_velocity_fd",
+    "balance_integral",
     "GuidedMassReport", "SurfaceMassReport", "FourMomentumSplit",
     "guided_mass_report", "surface_mass_report", "surface_rest_mass_density",
     "dispersion_residual",

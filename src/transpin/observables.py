@@ -50,7 +50,6 @@ __all__ = [
     "SurfaceObservables",
     "integrate_guided",
     "integrate_surface",
-    "group_velocity_fd",
     "amplitude_for_quanta",
     "quantized_transverse_spin_guided",
     "quantized_transverse_spin_surface",
@@ -267,25 +266,6 @@ def integrate_surface(spec: SurfaceWaveSpec,
         n_quanta=n_quanta,
         n_quanta_integer=_snap_quanta(n_quanta),
     )
-
-
-# --------------------------------------------------------------------------
-# velocities
-
-
-def group_velocity_fd(spec: GuidedModeSpec) -> float:
-    """Central-difference group velocity ``domega/dk_z`` on the guided branch.
-
-    The step is ``1e-6 |k_z|``.  For a propagating guided mode this equals
-    the energy velocity ``P_z c^2 / W`` (their product with the phase
-    velocity is ``c^2``).
-    """
-    _require_propagating(spec, "group velocity")
-    con = spec.constants
-    k0 = abs(float(np.real(spec.k_z)))
-    dk = 1e-6 * k0
-    omega_of = lambda k: math.sqrt(spec.omega_c**2 + con.c**2 * k * k)  # noqa: E731
-    return spec.direction * (omega_of(k0 + dk) - omega_of(k0 - dk)) / (2.0 * dk)
 
 
 # --------------------------------------------------------------------------

@@ -360,7 +360,7 @@ def test_surface_report_gamma_and_angle_do_not_follow_the_direction(capsys):
     (["--family", "TM", "--m", "1", "--n", "1"], "S_perp"),
     (["--family", "TE", "--m", "1", "--n", "0"], "S_perp"),
     (["--kind", "surface"], "S_y"),
-])
+], ids=["TM11", "TE10", "surface"])
 def test_combine_spins_halves_only_the_spin(args, spin, capsys):
     reports = []
     for flag in ("--no-combine-spins", "--combine-spins"):

@@ -1,4 +1,5 @@
-"""Every name a transpin module imports is used in that module."""
+"""Every name a transpin module imports is used in that module, and every
+name its ``__all__`` lists is bound there."""
 
 import ast
 from pathlib import Path
@@ -41,3 +42,34 @@ def test_an_unused_import_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_imported_name_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unbound_exports(source: str) -> list[str]:
+    """Each ``__all__`` entry that names nothing ``source`` binds at module level.
+
+    A def, a class, an assignment and an import each bind a name, so an
+    export left behind when its definition is deleted shows here.
+    """
+    bound, exports = set(), []
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.partition(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [getattr(target, "id", None) for target in targets]
+            bound.update(names)
+            if names == ["__all__"]:
+                exports = ast.literal_eval(node.value)
+    return [name for name in exports if name not in bound]
+
+
+def test_an_unbound_export_is_found():
+    source = "from x import y\nz: int = 1\ndef f(): pass\n__all__ = ['y', 'z', 'f', 'g']\n"
+    assert unbound_exports(source) == ["g"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_export_is_bound(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []
