@@ -86,7 +86,7 @@ _KEYS: dict[str, tuple[type, Any, tuple | None, str | None]] = {
     "eta": (float, 1.5, None, "refractive index (surface)"),
     "phi-deg": (float, 60.0, None, "incidence angle in degrees (surface)"),
     "area": (float, 1.0, None, "quantization area (m^2)"),
-    "x-max-kappa": (float, None, None, "decay-axis extent in units of 1/kappa"),
+    "x-max-kappa": (float, None, None, "spin-map decay extent in units of 1/kappa"),
     "z-periods": (float, 1.0, None, "propagation-axis extent in guided wavelengths"),
 }
 
@@ -370,7 +370,7 @@ def _report(config: RunConfig, spec: GuidedModeSpec | SurfaceWaveSpec) -> dict[s
         }
         residuals = {"klein_gordon": klein_gordon_stencil_residual(spec)}
     else:
-        obs = integrate_surface(spec, _surface_extent(config, "x-max-kappa", 20.0))
+        obs = integrate_surface(spec)
         spin = "S_y"
         report = {
             "eta": spec.eta,

@@ -25,9 +25,8 @@ class DomainError(ValueError):
 
 
 class ResolutionError(ValueError):
-    """A quadrature that is not built: a surface truncation depth too shallow
-    for the 1e-9 contract, or guided mode indices past the transverse grid's
-    bound."""
+    """A quadrature that is not built: guided mode indices past the
+    transverse grid's bound."""
 
 
 class ConfigurationError(ValueError):

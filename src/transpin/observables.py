@@ -6,9 +6,9 @@ densities of a propagating mode do not depend on z, and they are trig
 polynomials periodic on the cell with at most ``max(m, n)`` harmonics per
 axis, so a rule with more nodes than harmonics is exact to rounding.
 Surface totals are one-node midpoint rules in ``u = exp(-2 kappa x)`` over
-the decay axis, exact because every surface density is a constant times
-``u``, truncated where the ``exp(-2 kappa x)`` tail is negligible, times the
-transverse quantization area.  The integrands are the pointwise densities of
+the whole half space ``x >= 0``, exact because every surface density is a
+constant times ``u``, times the transverse quantization area.  The
+integrands are the pointwise densities of
 :mod:`transpin.spin`, bit for bit (a guided plane forms ``|E_i|^2``,
 ``|B_i|^2`` and ``Re(E x B*)_z`` once and sums them as those densities do),
 so the totals are independent of the closed forms they are tested against.
@@ -199,7 +199,12 @@ def integrate_guided(spec: GuidedModeSpec) -> GuidedObservables:
         h_perp2 = float(cell * (v2[..., 0] + v2[..., 1]).sum()) / area
         h_long2 = float(cell * v2[..., 2].sum()) / area
         _check_float_range(h_perp2=h_perp2, h_long2=h_long2)
-    sin_2theta = 2.0 * math.sqrt(h_perp2 * h_long2) / (h_perp2 + h_long2)
+    product = h_perp2 * h_long2
+    # the product underflows while each factor is normal; the split root, taken
+    # only then, keeps the bits of every other S_perp
+    root = (math.sqrt(product) if product >= sys.float_info.min
+            else math.sqrt(h_perp2) * math.sqrt(h_long2))
+    sin_2theta = 2.0 * root / (h_perp2 + h_long2)
     S_perp = math.copysign(1.0, k_z) * (W / omega) * sin_2theta
 
     theta = math.atan2(math.sqrt(h_long2), math.sqrt(h_perp2))
@@ -215,37 +220,21 @@ def integrate_guided(spec: GuidedModeSpec) -> GuidedObservables:
     )
 
 
-def integrate_surface(spec: SurfaceWaveSpec,
-                      x_max_kappa: float = 20.0) -> SurfaceObservables:
-    """Quadrature totals of a surface wave over ``x in [0, x_max_kappa/kappa]``.
+def integrate_surface(spec: SurfaceWaveSpec) -> SurfaceObservables:
+    """Quadrature totals of a surface wave over the half space ``x >= 0``.
 
-    The rule is one midpoint node in ``u = exp(-2*kappa*x)`` on
-    ``[exp(-2*x_max_kappa), 1]``, so ``x = -ln(u)/(2 kappa)`` and ``dx =
-    du/(2 kappa u)``.  Every density is a constant times ``exp(-2 kappa x)
-    = u``, so the integrand in ``u`` is constant and one node is exact at
-    any depth: the totals are the pointwise densities at ``u0 = (1 +
-    exp(-2*x_max_kappa))/2`` times the weight ``(1 - exp(-2*x_max_kappa))
-    / (2 kappa u0)``.  What is left is the truncation tail,
-    ``exp(-2*x_max_kappa)`` relative; the default depth of 20 decay lengths
-    leaves ~4e-18, and ``x_max_kappa = inf`` integrates the whole half
-    space.  Depths below 12 (or NaN) cannot reach the 1e-9 contract and
-    raise :class:`ResolutionError`.  ``S_y`` counts ``s_e + s_m``, twice
-    the dual-symmetric value of this single-branch wave.
+    The rule is one midpoint node in ``u = exp(-2*kappa*x)`` on ``(0, 1]``,
+    so ``x = -ln(u)/(2 kappa)`` and ``dx = du/(2 kappa u)``.  Every density
+    is a constant times ``exp(-2 kappa x) = u``, so the integrand in ``u`` is
+    constant and one node is exact: the totals are the pointwise densities at
+    ``u0 = 1/2`` times the weight ``1/(2 kappa u0)``.  ``S_y`` counts
+    ``s_e + s_m``, twice the dual-symmetric value of this single-branch wave.
     A total or ``n_quanta`` outside the float range raises ``ValueError``.
     """
-    # math scalars, so the node does not depend on numpy's CPU dispatch
-    try:
-        tail = math.exp(-2.0 * x_max_kappa)
-    except OverflowError:  # a depth below about -355
-        tail = math.inf
-    if not x_max_kappa >= 12.0:
-        raise ResolutionError(
-            f"truncation depth {x_max_kappa} decay lengths leaves a relative "
-            f"tail of {tail:.2e}; use at least 12")
     con = spec.constants
     omega = spec.omega
-    u0 = 0.5 * (1.0 + tail)
-    weight = (1.0 - tail) / (2.0 * spec.kappa * u0)
+    u0 = 0.5
+    weight = 1.0 / (2.0 * spec.kappa * u0)
     field = surface_field_phasor(spec, (-math.log(u0) / (2.0 * spec.kappa), 0.0, 0.0))
 
     A = spec.area

@@ -393,7 +393,7 @@ def _check_surface_totals() -> CheckResult:
                 spec = _surface(family, eta, phi_deg)
                 worst = max(worst, _totals_gap(integrate_surface(spec), spec))
     return CheckResult("surface-totals-vs-closed-forms", worst <= 1e-9, worst,
-                       1e-9, "truncated decay-axis quadrature, both families")
+                       1e-9, "one-node half-space quadrature, both families")
 
 
 def _check_surface_quantization() -> CheckResult:
@@ -450,6 +450,7 @@ def _check_surface_mass_identities() -> CheckResult:
             _rel(obs.W, rep.M_s * con.c**2 * gamma),
             _rel(obs.P_z, rep.M_s * rep.v * gamma),
             _rel(gamma, rep.gamma),
+            _rel(obs.v, rep.v),
         )
         # pointwise: w^2 - p_z^2 c^2 = rho0^2 c^4 along the decay axis
         xs = np.linspace(0.0, 5.0 / spec.kappa, 24)
@@ -501,8 +502,11 @@ def _check_surface_ellipticity() -> CheckResult:
     for family in ("TM", "TE"):
         spec = _surface(family, 1.8, 62.0)
         e, theta_prime = ellipticity_surface(spec)
+        obs = integrate_surface(spec)
         expected = spec.kappa / abs(spec.k_z)
-        worst = max(worst, _rel(e, expected), _rel(math.tan(theta_prime), expected))
+        worst = max(worst, _rel(e, expected), _rel(math.tan(theta_prime), expected),
+                    _rel(obs.ellipticity, expected),
+                    _rel(math.tan(obs.theta_prime), expected))
     return CheckResult("surface-ellipticity", worst <= 1e-12, worst, 1e-12,
                        "|E_z/E_x| (TM) and |B_z/B_x| (TE) = kappa/|k_z| < 1")
 

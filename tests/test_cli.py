@@ -524,7 +524,8 @@ def _config_error(args, capsys):
     (["report", "--omega", "1e10", "--a", "1e100"], "n_quanta"),
     (["report", "--amplitude", "1e100", "--omega", "1e100"], "W"),
     (["report", "--b", "1e-100", "--amplitude", "3e-103"], "W"),
-    (["report", "--amplitude", "1e-102", "--n", "5"], "S_perp"),
+    (["report", "--family", "TM", "--m", "2", "--n", "5", "--b", "1e-81",
+      "--amplitude", "1e-99", "--omega-ratio", "1.001634067883663"], "S_perp"),
     (["report", "--kind", "surface", "--omega", "3e102", "--amplitude", "1e-90"], "S_y"),
 ])
 def test_out_of_range_spec_fields_are_named(args, field, capsys):
@@ -538,11 +539,22 @@ def test_surface_report_is_exact_at_every_depth(depth, capsys):
     assert max(residuals.values()) <= 1e-9, residuals
 
 
-def test_surface_report_at_the_depth_floor_misses_only_the_tail(capsys):
-    assert main(["report", "--kind", "surface", "--x-max-kappa", "12"]) == 0
-    residuals = json.loads(capsys.readouterr().out)["residuals"]
-    for total in ("W", "P_z", "S_y"):
-        assert residuals[total] == pytest.approx(math.exp(-24.0), rel=1e-3)
+@pytest.mark.parametrize("key, value", [("x-max-kappa", "12"), ("x-max-kappa", "8"),
+                                        ("x-max-kappa", "nan"), ("x-max-kappa", "inf"),
+                                        ("x-max-kappa", "0"), ("z-periods", "0")])
+def test_surface_report_ignores_the_map_extents(key, value, capsys):
+    # a report integrates the whole half space; the extents size a spin map
+    assert main(["report", "--kind", "surface"]) == 0
+    expected = capsys.readouterr()
+    assert main(["report", "--kind", "surface", f"--{key}", value]) == 0
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("amplitude, n", [("1e-76", "0"), ("1e-102", "5")])
+def test_guided_ellipse_of_tiny_intensities_is_exact(amplitude, n, capsys):
+    # the product of the two mean-square intensities underflows
+    assert main(["report", "--amplitude", amplitude, "--n", n]) == 0
+    assert json.loads(capsys.readouterr().out)["residuals"]["S_perp"] <= 1e-9
 
 
 @pytest.mark.parametrize("to_file", [False, True])
@@ -746,12 +758,6 @@ def test_config_number_too_large_for_a_float_is_named(key, tmp_path, capsys):
     path.write_text('{"kind": "surface", "%s": 1%s}' % (key, "0" * 400))
     err = _config_error(["spinmap", "--config", str(path)], capsys)
     assert repr(key) in err and "too large for a float" in err
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "0"])
-def test_surface_report_depth_must_be_finite_and_positive(value, capsys):
-    err = _config_error(["report", "--kind", "surface", "--x-max-kappa", value], capsys)
-    assert err.startswith("config error: config key 'x-max-kappa'")
 
 
 # ---------------------------------------------------------------------------

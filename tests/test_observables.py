@@ -1,6 +1,7 @@
 """Volume totals, quantization chains, ellipticity, and resolution control."""
 
 import inspect
+import json
 import math
 import tracemalloc
 from dataclasses import replace
@@ -17,7 +18,9 @@ from transpin import (ModeFamily, ResolutionError, UnsupportedModeError,
                       guided_field_phasor, guided_mass_report,
                       integrate_guided, integrate_surface, momentum_density,
                       observables, quantized_transverse_spin_guided,
-                      quantized_transverse_spin_surface)
+                      quantized_transverse_spin_surface, spin_densities,
+                      surface_field_phasor)
+from transpin.cli import main
 from transpin.constants import NATURAL, SI
 
 SQRT2 = math.sqrt(2.0)
@@ -280,27 +283,16 @@ def test_surface_direction_reversal(make_surface):
     assert_allclose(bwd.S_y, -fwd.S_y, rtol=1e-12)
 
 
-def test_surface_truncation_guard(make_surface):
-    with pytest.raises(ResolutionError):
-        integrate_surface(make_surface(), x_max_kappa=8.0)
-
-
-@pytest.mark.parametrize("depth", [math.nan, -400.0])
-def test_surface_depth_without_a_tail_is_named(make_surface, depth):
-    # NaN passes a `<` floor; exp(800) overflows while the message is formed
-    with pytest.raises(ResolutionError, match=rf"^truncation depth {depth} decay lengths "):
-        integrate_surface(make_surface(), x_max_kappa=depth)
-
-
 def test_infinite_depth_integrates_the_half_space(make_surface):
+    # the half space x >= 0 is the integral to infinite depth
     for family in ("TM", "TE"):
         spec = make_surface(family, eta=1.7, phi_deg=58.0)
-        obs = integrate_surface(spec, x_max_kappa=math.inf)
+        obs = integrate_surface(spec)
         assert_allclose((obs.W, obs.P_z, obs.S_y), spec.closed_forms(), rtol=1e-15)
 
 
 @pytest.mark.parametrize("depth", [12.0, 20.0, 1e4, math.inf])
-def test_surface_quadrature_evaluates_one_node(make_surface, monkeypatch, depth):
+def test_surface_quadrature_evaluates_one_node(make_surface, monkeypatch, capsys, depth):
     phasor = observables.surface_field_phasor
     points = []
 
@@ -310,13 +302,29 @@ def test_surface_quadrature_evaluates_one_node(make_surface, monkeypatch, depth)
 
     monkeypatch.setattr(observables, "surface_field_phasor", spy)
     spec = make_surface("TE", direction=-1)
-    integrate_surface(spec, x_max_kappa=depth)
-    [(x, y, z)] = points
+    integrate_surface(spec)
+    # a report runs the same quadrature whatever spin-map depth it is given
+    assert main(["report", "--kind", "surface", "--x-max-kappa", repr(depth)]) == 0
+    kappa = json.loads(capsys.readouterr().out)["kappa"]
+    [(x, y, z), (x_report, y_report, z_report)] = points
     assert np.shape(x) == () and y == 0.0 and z == 0.0
-    assert 0.0 < spec.kappa * x < depth
-    # the midpoint of [exp(-2 depth), 1] in u = exp(-2 kappa x)
-    assert math.isclose(math.exp(-2.0 * spec.kappa * x), 0.5 * (1.0 + math.exp(-2.0 * depth)),
-                        rel_tol=1e-15)
+    assert np.shape(x_report) == () and y_report == 0.0 and z_report == 0.0
+    # the midpoint u0 = 1/2 of (0, 1] in u = exp(-2 kappa x)
+    assert x == -math.log(0.5) / (2.0 * spec.kappa)
+    assert x_report == -math.log(0.5) / (2.0 * kappa)
+
+
+def _slab_totals(spec, depth):
+    """The one-node rule on ``0 <= kappa x <= depth``: the midpoint of
+    ``[exp(-2 depth), 1]`` in ``u`` with the weight ``(1 - exp(-2 depth))/(2 kappa u0)``."""
+    tail = math.exp(-2.0 * depth)
+    u0 = 0.5 * (1.0 + tail)
+    weight = (1.0 - tail) / (2.0 * spec.kappa * u0)
+    field = surface_field_phasor(spec, (-math.log(u0) / (2.0 * spec.kappa), 0.0, 0.0))
+    con = spec.constants
+    densities = (energy_density(field, con), momentum_density(field, con)[..., 2],
+                 spin_densities(field, spec.omega, con).total()[..., 1])
+    return tuple(spec.area * float(weight * d) for d in densities)
 
 
 _DEPTHS = st.one_of(st.sampled_from([12.0, 35.5, 400.0, 1e4, math.inf]),
@@ -331,16 +339,39 @@ _DEPTHS = st.one_of(st.sampled_from([12.0, 35.5, 400.0, 1e4, math.inf]),
 def test_surface_rule_is_exact_for_the_truncated_integral(
         make_surface, family, eta, phi_fraction, log_omega, log_amplitude, log_area,
         direction, depth):
+    # every density is a constant times u = exp(-2 kappa x), the premise of the
+    # one-node rule: a node anywhere in u integrates any slab exactly
+    critical = math.degrees(math.asin(1.0 / eta))
+    spec = make_surface(family, eta=eta, phi_deg=critical + phi_fraction * (90.0 - critical),
+                        omega=10.0**log_omega, amplitude=10.0**log_amplitude,
+                        area=10.0**log_area, direction=direction)
+    slab = _slab_totals(spec, depth)
+    obs = integrate_surface(spec)
+    kept = 1.0 - math.exp(-2.0 * depth)
+    for total, half, closed in zip(slab, (obs.W, obs.P_z, obs.S_y), spec.closed_forms()):
+        assert abs(total / closed - kept) <= 1e-14
+        assert abs(total / half - kept) <= 1e-14
+    if depth == math.inf:
+        assert slab == (obs.W, obs.P_z, obs.S_y)
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(family=st.sampled_from(["TM", "TE"]), eta=st.floats(1.05, 4.0),
+       phi_fraction=st.floats(0.01, 0.99), log_omega=st.floats(10.0, 16.0),
+       log_amplitude=st.floats(-6.0, 6.0), log_area=st.floats(-8.0, 0.0),
+       direction=st.sampled_from([1, -1]))
+def test_surface_rule_is_exact_on_the_half_space(
+        make_surface, family, eta, phi_fraction, log_omega, log_amplitude, log_area,
+        direction):
     # phi between the critical angle asin(1/eta) and grazing incidence
     critical = math.degrees(math.asin(1.0 / eta))
     spec = make_surface(family, eta=eta, phi_deg=critical + phi_fraction * (90.0 - critical),
                         omega=10.0**log_omega, amplitude=10.0**log_amplitude,
                         area=10.0**log_area, direction=direction)
-    obs = integrate_surface(spec, x_max_kappa=depth)
+    obs = integrate_surface(spec)
     W, P_z, S_y = spec.closed_forms()
-    kept = 1.0 - math.exp(-2.0 * depth)
     for total, closed in ((obs.W, W), (obs.P_z, P_z), (obs.S_y, S_y)):
-        assert abs(total / closed - kept) <= 1e-14
+        assert abs(total / closed - 1.0) <= 1e-14
 
 
 @pytest.mark.parametrize("family, m, n", [("TE", 201, 0), ("TM", 1, 300),
@@ -458,7 +489,7 @@ _SIGNATURES = {
     "SurfaceObservables": ("W", "P_z", "S_y", "v", "theta_prime", "ellipticity",
                            "n_quanta", "n_quanta_integer"),
     "integrate_guided": ("spec",),
-    "integrate_surface": ("spec", "x_max_kappa"),
+    "integrate_surface": ("spec",),
     "amplitude_for_quanta": ("n", "spec"),
     "quantized_transverse_spin_guided": ("n", "spec"),
     "quantized_transverse_spin_surface": ("n", "spec"),

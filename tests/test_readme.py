@@ -54,3 +54,9 @@ def test_readme_command_line_runs(command, tmp_path, monkeypatch, capsys):
 def test_readme_config_example_is_accepted():
     keys = json.loads(CONFIG_TEXT)
     assert cli.RunConfig.from_sources(keys, {}).provided == set(keys)
+
+
+def test_readme_counts_the_pinned_cases():
+    digests = json.loads((README.parent / "tests" / "case_digests.json").read_text())
+    count = re.search(r"`tests/test_case_list\.py` pins the bytes of (\d+) ", TEXT)
+    assert int(count[1]) == len(digests)

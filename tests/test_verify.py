@@ -1,14 +1,19 @@
 """The verify catalogue's batched checks against per-point re-derivations."""
 
+import ast
 import math
+from dataclasses import fields, replace
+from pathlib import Path
 
 import numpy as np
+import pytest
 
-from transpin import (analytic_spin_surface, energy_density, spin_densities,
-                      time_average_oracle)
+from transpin import (GuidedMassReport, GuidedObservables, SurfaceMassReport,
+                      SurfaceObservables, analytic_spin_surface, energy_density,
+                      spin_densities, time_average_oracle, verify)
 from transpin.spin import (instantaneous_energy_sampler,
                            instantaneous_spin_sampler)
-from transpin.verify import run_checks
+from transpin.verify import check_names, run_checks
 
 
 def _measured(name):
@@ -93,3 +98,42 @@ def test_batched_oracle_gap_is_the_worst_point_gap(make_guided, make_surface):
         assert _oracle_residual(spec, tuple(points.T)) == max(gaps)
         for p, gap in zip(points, gaps):
             assert _oracle_residual(spec, tuple(p[:, None])) == gap
+
+
+# ---------------------------------------------------------------------------
+# every printed number is seen by some check
+
+#: the record each wrapped call returns, by its name at verify's import site
+_RECORDS = {"integrate_guided": GuidedObservables,
+            "integrate_surface": SurfaceObservables,
+            "guided_mass_report": GuidedMassReport,
+            "surface_mass_report": SurfaceMassReport}
+_FLOAT_FIELDS = [(name, f.name) for name, record in _RECORDS.items()
+                 for f in fields(record) if f.type.startswith("float")]
+
+
+@pytest.mark.parametrize("function, field", _FLOAT_FIELDS)
+def test_a_perturbed_output_field_fails_some_check(function, field, monkeypatch):
+    # ten times the 1e-9 contract: a field this wrong must not pass the catalogue
+    original = getattr(verify, function)
+
+    def perturbed(*args, **kwargs):
+        record = original(*args, **kwargs)
+        value = getattr(record, field)
+        if value is None:
+            return record
+        return replace(record, **{field: value * (1.0 + 1e-8)})
+
+    monkeypatch.setattr(verify, function, perturbed)
+    failed = [r.name for r in run_checks() if not r.passed]
+    assert failed, f"no check sees {function}().{field} scaled by 1 + 1e-8"
+
+
+def test_benchmark_pins_the_check_names_in_order():
+    # perfbench keeps a per-check metric under each name and requires every
+    # one to pass, so a renamed or reordered check must show here first
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    names = next(node.value for node in ast.parse(path.read_text()).body
+                 if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "VERIFY_CHECK_NAMES")
+    assert check_names() == list(ast.literal_eval(names))
