@@ -200,9 +200,9 @@ def integrate_guided(spec: GuidedModeSpec) -> GuidedObservables:
         h_long2 = float(cell * v2[..., 2].sum()) / area
         _check_float_range(h_perp2=h_perp2, h_long2=h_long2)
     product = h_perp2 * h_long2
-    # the product underflows while each factor is normal; the split root, taken
-    # only then, keeps the bits of every other S_perp
-    root = (math.sqrt(product) if product >= sys.float_info.min
+    # the product can underflow or overflow while each factor is normal; the
+    # split root, taken only then, keeps the bits of every other S_perp
+    root = (math.sqrt(product) if sys.float_info.min <= product < math.inf
             else math.sqrt(h_perp2) * math.sqrt(h_long2))
     sin_2theta = 2.0 * root / (h_perp2 + h_long2)
     S_perp = math.copysign(1.0, k_z) * (W / omega) * sin_2theta

@@ -72,6 +72,20 @@ class SpinDensityPair:
         return self.s_e + self.s_m
 
 
+def _cross(a, b) -> np.ndarray:
+    """``np.cross(a, b)`` on the trailing axis, formed one component at a time.
+
+    Each component takes np.cross's operations in its order (``a1 b2 - a2
+    b1``, ``a2 b0 - a0 b2``, ``a0 b1 - a1 b0``), so the bits are its bits,
+    without its axis moves and dtype copies.
+    """
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
+        np.multiply(a[..., i], b[..., j], out=out[..., k])
+        out[..., k] -= a[..., j] * b[..., i]
+    return out
+
+
 def vector_potentials(field: FieldPhasor, omega: float,
                       constants: PhysicalConstants = SI) -> PotentialPhasor:
     """Monochromatic potentials ``A = -i E/omega`` and ``C = -i c^2 B/omega``."""
@@ -89,8 +103,8 @@ def spin_densities(field: FieldPhasor, omega: float,
     ``s_m = (eps0 c^2/2/omega) Im(B* x B)``.
     """
     pots = vector_potentials(field, omega, constants)
-    s_e = 0.5 * constants.eps0 * np.real(np.cross(field.E, np.conj(pots.A)))
-    s_m = 0.5 * constants.eps0 * np.real(np.cross(field.B, np.conj(pots.C)))
+    s_e = 0.5 * constants.eps0 * np.real(_cross(field.E, np.conj(pots.A)))
+    s_m = 0.5 * constants.eps0 * np.real(_cross(field.B, np.conj(pots.C)))
     return SpinDensityPair(s_e=s_e, s_m=s_m)
 
 
@@ -103,7 +117,7 @@ def energy_density(field: FieldPhasor, constants: PhysicalConstants = SI) -> np.
 
 def momentum_density(field: FieldPhasor, constants: PhysicalConstants = SI) -> np.ndarray:
     """Cycle-averaged momentum density ``(eps0/2) Re(E x B*)``."""
-    return 0.5 * constants.eps0 * np.real(np.cross(field.E, np.conj(field.B)))
+    return 0.5 * constants.eps0 * np.real(_cross(field.E, np.conj(field.B)))
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +291,7 @@ def instantaneous_spin_sampler(spec, point):
         pots = vector_potentials(field, spec.omega, con)
         e_r, b_r = np.real(field.E), np.real(field.B)
         a_r, c_r = np.real(pots.A), np.real(pots.C)
-        return con.eps0 * (np.cross(e_r, a_r) + np.cross(b_r, c_r))
+        return con.eps0 * (_cross(e_r, a_r) + _cross(b_r, c_r))
 
     return sample
 

@@ -293,27 +293,25 @@ def commutator_table() -> dict:
     """
     basis = _generator_basis()
     stack = np.stack([basis[k].ravel() for k in _GENERATOR_LABELS], axis=1)
+    pairs = [(left, right) for left in _GENERATOR_LABELS
+             for right in _GENERATOR_LABELS if left != right]
+    # every bracket is one column of a single least-squares solve
+    brackets = np.stack([(basis[left] @ basis[right] - basis[right] @ basis[left]).ravel()
+                         for left, right in pairs], axis=1)
+    coeffs, *_ = np.linalg.lstsq(stack, brackets, rcond=None)
 
     table: dict = {}
-    worst = 0.0
-    for left in _GENERATOR_LABELS:
-        for right in _GENERATOR_LABELS:
-            if left == right:
-                continue
-            bracket = basis[left] @ basis[right] - basis[right] @ basis[left]
-            coeff, *_ = np.linalg.lstsq(stack, bracket.ravel(), rcond=None)
-            residual = float(np.max(np.abs(stack @ coeff - bracket.ravel())))
-            worst = max(worst, residual)
-            entry = {}
-            for label, c in zip(_GENERATOR_LABELS, coeff):
-                snapped = complex(round(c.real), round(c.imag))
-                if abs(c - snapped) > 1e-12:
-                    raise AssertionError(
-                        f"[{left},{right}] coefficient {c!r} is not a Gaussian integer")
-                if snapped != 0:
-                    entry[label] = [snapped.real, snapped.imag]
-            table[f"{left},{right}"] = entry
-    table["residual"] = worst
+    for (left, right), coeff in zip(pairs, coeffs.T):
+        entry = {}
+        for label, c in zip(_GENERATOR_LABELS, coeff):
+            snapped = complex(round(c.real), round(c.imag))
+            if abs(c - snapped) > 1e-12:
+                raise AssertionError(
+                    f"[{left},{right}] coefficient {c!r} is not a Gaussian integer")
+            if snapped != 0:
+                entry[label] = [snapped.real, snapped.imag]
+        table[f"{left},{right}"] = entry
+    table["residual"] = float(np.max(np.abs(stack @ coeffs - brackets)))
     return table
 
 

@@ -7,14 +7,17 @@ reconciliations (see ``docs/derivations.md``): the TE_m0 doubling of the
 volume totals, the surface momentum-per-quantum form, and the circular-basis
 pole convention each have a dedicated check.
 
-The whole catalogue takes about 30-35 ms in process on one core of a
+The whole catalogue takes about 22-24 ms in process on one core of a
 2-core Xeon host (Python 3.11, numpy 2.4).  No check takes more than about
-3 ms: the largest are ``guided-totals-vs-closed-forms`` and
-``fields-maxwell-residuals``.  The checks that sample many directions or
-points do so in one array call each:
-``algebra-helicity-eigensystem`` (1050 directions) takes about 2 ms,
-``guided-time-average-oracle`` 1.5 ms and ``surface-pipeline-and-oracle``
-under 1 ms.
+2.5 ms: the largest are ``guided-totals-vs-closed-forms`` (18 quadrature
+planes) and ``algebra-helicity-eigensystem`` (1050 directions), then
+``algebra-closure``, ``guided-quantization`` and ``guided-ellipticity`` at
+about 1.3 ms each.  The checks that sample many directions, points or events
+do so in one array call each: ``guided-time-average-oracle`` takes about
+1.2 ms and ``surface-pipeline-and-oracle`` 0.6 ms, while
+``fields-maxwell-residuals`` (one 7-point stencil per mode),
+``fields-boundary-conditions`` (five points per mode) and
+``guided-four-momentum-split`` (100 events per ratio) take under 1 ms.
 """
 
 from __future__ import annotations
@@ -83,9 +86,22 @@ def _rel(actual, expected):
     return abs(actual - expected) / scale
 
 
+def _worst(*values: float) -> float:
+    """The largest of ``values``, or the first NaN among them.
+
+    ``max(worst, x)`` keeps ``worst`` when ``x`` is NaN, so a check would
+    pass a NaN it measured.  Without NaN this is ``max``, which returns the
+    first of equal values.
+    """
+    for value in values:
+        if value != value:
+            return value
+    return max(values)
+
+
 def _totals_gap(obs, spec) -> float:
     """Worst relative gap of the quadrature ``(W, P_z, S)`` to ``spec.closed_forms()``."""
-    return max(map(_rel, astuple(obs)[:3], spec.closed_forms()))
+    return _worst(*map(_rel, astuple(obs)[:3], spec.closed_forms()))
 
 
 # --------------------------------------------------------------------------
@@ -97,7 +113,7 @@ def _check_guided_totals() -> CheckResult:
     for family, m, n in _MODES:
         for ratio in _RATIOS:
             spec = _guided(family, m, n, ratio)
-            worst = max(worst, _totals_gap(integrate_guided(spec), spec))
+            worst = _worst(worst, _totals_gap(integrate_guided(spec), spec))
     return CheckResult("guided-totals-vs-closed-forms", worst <= 1e-9, worst,
                        1e-9, "quadrature W, P_z, S_perp over 6 modes x 3 ratios")
 
@@ -110,14 +126,14 @@ def _check_guided_quantization() -> CheckResult:
             spec = replace(spec, amplitude=amplitude_for_quanta(n_quanta, spec))
             obs = integrate_guided(spec)
             expected = quantized_transverse_spin_guided(n_quanta, spec)
-            worst = max(worst, _rel(obs.S_perp, expected),
-                        _rel(obs.W, n_quanta * spec.constants.hbar * spec.omega),
-                        _rel(obs.n_quanta, n_quanta))
+            worst = _worst(worst, _rel(obs.S_perp, expected),
+                           _rel(obs.W, n_quanta * spec.constants.hbar * spec.omega),
+                           _rel(obs.n_quanta, n_quanta))
     # circular point: S_perp = n hbar exactly at omega = sqrt(2) omega_c
     spec = _guided("TE", 1, 0, math.sqrt(2.0))
     spec = replace(spec, amplitude=amplitude_for_quanta(3, spec))
-    worst = max(worst, _rel(integrate_guided(spec).S_perp,
-                            3 * spec.constants.hbar))
+    worst = _worst(worst, _rel(integrate_guided(spec).S_perp,
+                               3 * spec.constants.hbar))
     return CheckResult("guided-quantization", worst <= 1e-9, worst, 1e-9,
                        "S_perp = 2 n hbar c k_z omega_c/omega^2; = n hbar at sqrt(2) omega_c")
 
@@ -127,7 +143,7 @@ def _check_guided_balance() -> CheckResult:
     for family, m, n in _MODES:
         spec = _guided(family, m, n, math.sqrt(2.0))
         W = spec.closed_forms()[0]
-        worst = max(worst, abs(balance_integral(spec)) / W)
+        worst = _worst(worst, abs(balance_integral(spec)) / W)
     spec = _guided("TE", 1, 0, 2.0)
     faulted = abs(balance_integral(spec, b_amplitude_scale=1.01))
     control_ok = faulted / spec.closed_forms()[0] > 1e-3
@@ -148,9 +164,9 @@ def _check_guided_pipeline_spin() -> CheckResult:
         pipeline = spin_densities(field, spec.omega, spec.constants)
         closed = analytic_spin_guided(spec, (xs, ys))
         scale = float(np.max(np.abs(closed.s_e) + np.abs(closed.s_m)))
-        worst = max(worst,
-                    float(np.max(np.abs(pipeline.s_e - closed.s_e))) / scale,
-                    float(np.max(np.abs(pipeline.s_m - closed.s_m))) / scale)
+        worst = _worst(worst,
+                       float(np.max(np.abs(pipeline.s_e - closed.s_e))) / scale,
+                       float(np.max(np.abs(pipeline.s_m - closed.s_m))) / scale)
     return CheckResult("guided-pipeline-vs-analytic-spin", worst <= 1e-12,
                        worst, 1e-12, "bilinear pipeline vs closed forms, 16 points/mode")
 
@@ -183,7 +199,7 @@ def _check_guided_oracle() -> CheckResult:
         spec = _guided(family, m, n, math.sqrt(2.0))
         # filled row by row: each point's x, y, z are consecutive draws
         points = rng.uniform(0.0, (_GEOMETRY.a, _GEOMETRY.b, _GEOMETRY.length), (8, 3))
-        worst = max(worst, _oracle_residual(spec, tuple(points.T), energy=True))
+        worst = _worst(worst, _oracle_residual(spec, tuple(points.T), energy=True))
     return CheckResult("guided-time-average-oracle", worst <= 1e-10, worst,
                        1e-10, "64-sample brute-force averages vs phasor bilinears")
 
@@ -199,8 +215,8 @@ def _check_guided_structural_zeros() -> CheckResult:
         pair = spin_densities(field, spec.omega, spec.constants)
         scale = float(np.max(energy_density(field, spec.constants))) / spec.omega
         dead = pair.s_m if family == "TM" else pair.s_e
-        worst = max(worst, float(np.max(np.abs(pair.total()[..., 2]))) / scale,
-                    float(np.max(np.abs(dead))) / scale)
+        worst = _worst(worst, float(np.max(np.abs(pair.total()[..., 2]))) / scale,
+                       float(np.max(np.abs(dead))) / scale)
     # evanescent: both densities vanish identically
     spec = _guided("TM", 1, 1, 0.8)
     xs = rng.uniform(0.0, _GEOMETRY.a, 12)
@@ -208,7 +224,7 @@ def _check_guided_structural_zeros() -> CheckResult:
     field = guided_field_phasor(spec, (xs, ys, 0.0))
     pair = spin_densities(field, spec.omega, spec.constants)
     scale = float(np.max(energy_density(field, spec.constants))) / spec.omega
-    worst = max(worst, float(np.max(np.abs(pair.s_e) + np.abs(pair.s_m))) / scale)
+    worst = _worst(worst, float(np.max(np.abs(pair.s_e) + np.abs(pair.s_m))) / scale)
     return CheckResult("guided-structural-zeros", worst <= 1e-15, worst, 1e-15,
                        "s_z, idle branch, and evanescent spins vanish")
 
@@ -224,10 +240,10 @@ def _check_spin_momentum_locking() -> CheckResult:
         s_f = analytic_spin_guided(fwd, (xs, ys)).total()
         s_b = analytic_spin_guided(bwd, (xs, ys)).total()
         scale = max(float(np.max(np.abs(s_f))), 1e-300)
-        worst = max(worst, float(np.max(np.abs(s_f + s_b))) / scale)
+        worst = _worst(worst, float(np.max(np.abs(s_f + s_b))) / scale)
     s_f = analytic_spin_surface(_surface(direction=+1), 0.0).total()
     s_b = analytic_spin_surface(_surface(direction=-1), 0.0).total()
-    worst = max(worst, float(np.max(np.abs(s_f + s_b))) / float(np.max(np.abs(s_f))))
+    worst = _worst(worst, float(np.max(np.abs(s_f + s_b))) / float(np.max(np.abs(s_f))))
     return CheckResult("spin-momentum-locking", worst <= 1e-15, worst, 1e-15,
                        "k_z -> -k_z negates every transverse spin sample")
 
@@ -237,8 +253,8 @@ def _check_guided_velocity_duality() -> CheckResult:
     for ratio in _RATIOS:
         spec = _guided("TE", 1, 0, ratio)
         report = guided_mass_report(spec)
-        worst = max(worst, _rel(integrate_guided(spec).v, report.v_g),
-                    _rel(report.v_g * report.v_p, spec.constants.c**2))
+        worst = _worst(worst, _rel(integrate_guided(spec).v, report.v_g),
+                       _rel(report.v_g * report.v_p, spec.constants.c**2))
     return CheckResult("guided-velocity-duality", worst <= 1e-12, worst, 1e-12,
                        "energy velocity = group velocity c^2 k_z/omega; v_g v_p = c^2")
 
@@ -269,7 +285,7 @@ def _check_guided_mass_identities() -> CheckResult:
             spec = replace(spec, amplitude=amplitude_for_quanta(n_quanta, spec))
             rep = guided_mass_report(spec)
             c = spec.constants.c
-            worst = max(
+            worst = _worst(
                 worst,
                 _rel(rep.epsilon**2, (rep.p * c) ** 2 + (rep.m0 * c**2) ** 2),
                 _rel(rep.v_g * rep.v_p, c**2),
@@ -285,8 +301,8 @@ def _check_guided_kg_stencil() -> CheckResult:
     worst_on = 0.0
     for family, m, n in [("TM", 1, 1), ("TE", 1, 0)]:
         spec = _guided(family, m, n, math.sqrt(2.0))
-        worst_on = max(worst_on, klein_gordon_stencil_residual(spec),
-                       dispersion_residual(spec))
+        worst_on = _worst(worst_on, klein_gordon_stencil_residual(spec),
+                          dispersion_residual(spec))
     spec = _guided("TM", 1, 1, math.sqrt(2.0))
     k_z = float(np.real(spec.k_z))
     off = dispersion_residual(spec, k_z=1.01 * k_z)
@@ -304,12 +320,12 @@ def _check_four_momentum_split() -> CheckResult:
         spec = _guided("TM", 2, 1, ratio)
         split = four_momentum_split(spec)
         con = spec.constants
-        worst = max(worst, abs(minkowski_dot(split.p_T, split.p_L)) /
-                    (np.linalg.norm(split.p_T) * np.linalg.norm(split.p_L)))
-        worst = max(worst, _rel(math.sqrt(minkowski_dot(split.p_T, split.p_T)),
-                                con.hbar * spec.omega_c / con.c))
+        worst = _worst(worst, abs(minkowski_dot(split.p_T, split.p_L)) /
+                       (np.linalg.norm(split.p_T) * np.linalg.norm(split.p_L)))
+        worst = _worst(worst, _rel(math.sqrt(minkowski_dot(split.p_T, split.p_T)),
+                                   con.hbar * spec.omega_c / con.c))
         events = rng.uniform(-1.0, 1.0, size=(100, 4))
-        worst = max(worst, phase_split_residual(split, events))
+        worst = _worst(worst, phase_split_residual(split, events))
     return CheckResult("guided-four-momentum-split", worst <= 1e-12, worst,
                        1e-12, "Minkowski orthogonality, |p_T|, phase regrouping at 100 events")
 
@@ -342,7 +358,7 @@ def _check_guided_ellipticity() -> CheckResult:
             e, theta = obs.ellipticity, obs.theta
             con = spec.constants
             expected = spec.omega_c / (abs(float(np.real(spec.k_z))) * con.c)
-            worst = max(worst, _rel(e, expected), _rel(math.tan(theta), expected))
+            worst = _worst(worst, _rel(e, expected), _rel(math.tan(theta), expected))
     return CheckResult("guided-ellipticity", worst <= 1e-10, worst, 1e-10,
                        "quadrature h_long/h_perp = omega_c/(|k_z| c) for TM (E) and TE (B)")
 
@@ -352,31 +368,30 @@ def _check_fields_maxwell() -> CheckResult:
     for family, m, n in _MODES:
         spec = _guided(family, m, n, 1.8)
         res = maxwell_residuals(spec, (0.3 * _GEOMETRY.a, 0.4 * _GEOMETRY.b, 0.05))
-        worst = max(worst, *res.values())
+        worst = _worst(worst, *res.values())
     for family in ("TM", "TE"):
         spec = _surface(family=family)
         res = maxwell_residuals(spec, (0.5 / spec.kappa, 0.0, 1e-7))
-        worst = max(worst, *res.values())
+        worst = _worst(worst, *res.values())
     return CheckResult("fields-maxwell-residuals", worst <= 1e-8, worst, 1e-8,
                        "FD divergence and Faraday residuals, all families")
 
 
 def _check_fields_boundary() -> CheckResult:
     worst = 0.0
+    a, b = _GEOMETRY.a, _GEOMETRY.b
+    walls = [((0.0, b / 3, 0.1), (1, 2), 0), ((a, b / 3, 0.1), (1, 2), 0),
+             ((a / 3, 0.0, 0.1), (0, 2), 1), ((a / 3, b, 0.1), (0, 2), 1)]
+    # the reference point first, then each wall's point, in one phasor call
+    points = np.array([(a / 2, b / 2, 0.0)] + [point for point, _, _ in walls])
     for family, m, n in _MODES:
         spec = _guided(family, m, n, 1.5)
-        a, b = _GEOMETRY.a, _GEOMETRY.b
-        ref = float(np.max(np.abs(guided_field_phasor(
-            spec, (a / 2, b / 2, 0.0)).E))) + spec.amplitude
-        for point, tangential, normal_b in [
-            ((0.0, b / 3, 0.1), (1, 2), 0), ((a, b / 3, 0.1), (1, 2), 0),
-            ((a / 3, 0.0, 0.1), (0, 2), 1), ((a / 3, b, 0.1), (0, 2), 1),
-        ]:
-            field = guided_field_phasor(spec, point)
+        field = guided_field_phasor(spec, tuple(points.T))
+        ref = float(np.max(np.abs(field.E[0]))) + spec.amplitude
+        for E, B, (_, tangential, normal_b) in zip(field.E[1:], field.B[1:], walls):
             for comp in tangential:
-                worst = max(worst, float(np.abs(field.E[..., comp])) / ref)
-            worst = max(worst, spec.constants.c *
-                        float(np.abs(field.B[..., normal_b])) / ref)
+                worst = _worst(worst, float(np.abs(E[comp])) / ref)
+            worst = _worst(worst, spec.constants.c * float(np.abs(B[normal_b])) / ref)
     return CheckResult("fields-boundary-conditions", worst <= 1e-15, worst,
                        1e-15, "tangential E and normal B vanish on all four walls")
 
@@ -391,7 +406,7 @@ def _check_surface_totals() -> CheckResult:
         for eta in (1.45, 2.0):
             for phi_deg in (50.0, 70.0):
                 spec = _surface(family, eta, phi_deg)
-                worst = max(worst, _totals_gap(integrate_surface(spec), spec))
+                worst = _worst(worst, _totals_gap(integrate_surface(spec), spec))
     return CheckResult("surface-totals-vs-closed-forms", worst <= 1e-9, worst,
                        1e-9, "one-node half-space quadrature, both families")
 
@@ -405,9 +420,9 @@ def _check_surface_quantization() -> CheckResult:
             obs = integrate_surface(spec)
             hbar = spec.constants.hbar
             expected = quantized_transverse_spin_surface(n_quanta, spec)
-            worst = max(worst, _rel(obs.S_y, expected),
-                        _rel(obs.W, n_quanta * hbar * spec.omega),
-                        _rel(obs.n_quanta, n_quanta))
+            worst = _worst(worst, _rel(obs.S_y, expected),
+                           _rel(obs.W, n_quanta * hbar * spec.omega),
+                           _rel(obs.n_quanta, n_quanta))
     return CheckResult("surface-quantization", worst <= 1e-9, worst, 1e-9,
                        "S_y = 2 n hbar tan(theta'); n_quanta = W/(hbar omega)")
 
@@ -443,7 +458,7 @@ def _check_surface_mass_identities() -> CheckResult:
         obs = integrate_surface(spec)
         con = spec.constants
         gamma = 1.0 / math.sqrt(1.0 - (rep.v / con.c) ** 2)
-        worst = max(
+        worst = _worst(
             worst,
             _rel(rep.epsilon**2, (rep.p * con.c) ** 2 + (rep.m_s * con.c**2) ** 2),
             _rel(rep.M_s, 2 * rep.m_s),
@@ -459,7 +474,7 @@ def _check_surface_mass_identities() -> CheckResult:
         p_z = momentum_density(field, con)[..., 2]
         lhs = w**2 - (p_z * con.c) ** 2
         rhs = (surface_rest_mass_density(spec, xs) * con.c**2) ** 2
-        worst = max(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
+        worst = _worst(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
     return CheckResult("surface-mass-identities", worst <= 1e-12, worst, 1e-12,
                        "m_s triangle, M_s = n m_s, gamma = k_z/kappa, pointwise density triangle")
 
@@ -474,10 +489,10 @@ def _check_surface_pipeline_and_oracle() -> CheckResult:
         pipeline = spin_densities(field, spec.omega, spec.constants)
         closed = analytic_spin_surface(spec, xs)
         scale = float(np.max(np.abs(closed.total())))
-        worst = max(worst,
-                    float(np.max(np.abs(pipeline.s_e - closed.s_e))) / scale,
-                    float(np.max(np.abs(pipeline.s_m - closed.s_m))) / scale)
-        worst = max(worst, _oracle_residual(spec, (xs[:4], 0.0, 0.0)))
+        worst = _worst(worst,
+                       float(np.max(np.abs(pipeline.s_e - closed.s_e))) / scale,
+                       float(np.max(np.abs(pipeline.s_m - closed.s_m))) / scale)
+        worst = _worst(worst, _oracle_residual(spec, (xs[:4], 0.0, 0.0)))
     return CheckResult("surface-pipeline-and-oracle", worst <= 1e-10, worst,
                        1e-10, "pipeline vs closed form vs 64-sample brute force")
 
@@ -492,7 +507,7 @@ def _check_surface_subluminal() -> CheckResult:
             con = spec.constants
             ok = ok and (obs.W**2 - (obs.P_z * con.c) ** 2 > 0.0)
             ok = ok and abs(obs.v) < con.c
-            worst_v = max(worst_v, abs(obs.v) / con.c)
+            worst_v = _worst(worst_v, abs(obs.v) / con.c)
     return CheckResult("surface-subluminal", ok, worst_v, 1.0,
                        "W^2 > (P_z c)^2 and |v| < c for all surface waves")
 
@@ -504,9 +519,9 @@ def _check_surface_ellipticity() -> CheckResult:
         e, theta_prime = ellipticity_surface(spec)
         obs = integrate_surface(spec)
         expected = spec.kappa / abs(spec.k_z)
-        worst = max(worst, _rel(e, expected), _rel(math.tan(theta_prime), expected),
-                    _rel(obs.ellipticity, expected),
-                    _rel(math.tan(obs.theta_prime), expected))
+        worst = _worst(worst, _rel(e, expected), _rel(math.tan(theta_prime), expected),
+                       _rel(obs.ellipticity, expected),
+                       _rel(math.tan(obs.theta_prime), expected))
     return CheckResult("surface-ellipticity", worst <= 1e-12, worst, 1e-12,
                        "|E_z/E_x| (TM) and |B_z/B_x| (TE) = kappa/|k_z| < 1")
 
@@ -519,22 +534,22 @@ def _check_algebra_structure() -> CheckResult:
     sms = build_spin_matrices()
     worst = 0.0
     # entries: (tau_k)_{lm} = -i eps_{klm}
-    worst = max(worst, float(np.max(np.abs(sms.tau - (-1j) * LEVI_CIVITA))))
+    worst = _worst(worst, float(np.max(np.abs(sms.tau - (-1j) * LEVI_CIVITA))))
     # commutators and Casimir
     for i in range(3):
         for j in range(3):
             expected = 1j * np.einsum("k,kab->ab", LEVI_CIVITA[i, j], sms.tau)
             bracket = sms.tau[i] @ sms.tau[j] - sms.tau[j] @ sms.tau[i]
-            worst = max(worst, float(np.max(np.abs(bracket - expected))))
-    worst = max(worst, float(np.max(np.abs(
+            worst = _worst(worst, float(np.max(np.abs(bracket - expected))))
+    worst = _worst(worst, float(np.max(np.abs(
         np.einsum("kab,kbc->ac", sms.tau, sms.tau) - 2.0 * np.eye(3)))))
-    worst = max(worst, float(np.max(np.abs(
+    worst = _worst(worst, float(np.max(np.abs(
         np.einsum("kab,kbc->ac", sms.Sigma, sms.Sigma) - 2.0 * np.eye(6)))))
     # U is a real involutive unitary
-    worst = max(worst, float(np.max(np.abs(sms.U @ sms.U - np.eye(6)))))
-    worst = max(worst, float(np.max(np.abs(sms.U - sms.U.T))))
+    worst = _worst(worst, float(np.max(np.abs(sms.U @ sms.U - np.eye(6)))))
+    worst = _worst(worst, float(np.max(np.abs(sms.U - sms.U.T))))
     # S antisymmetry
-    worst = max(worst, float(np.max(np.abs(sms.S + np.swapaxes(sms.S, 0, 1)))))
+    worst = _worst(worst, float(np.max(np.abs(sms.S + np.swapaxes(sms.S, 0, 1)))))
     return CheckResult("algebra-structure", worst <= 1e-13, worst, 1e-13,
                        "tau entries, commutators, Casimirs, U involution, S antisymmetry")
 
@@ -567,8 +582,8 @@ def _check_helicity_eigensystem() -> CheckResult:
     vectors = np.stack([basis.e_plus, basis.e_zero, basis.e_minus], axis=1)
     lams = np.array([+1.0, 0.0, -1.0])
     applied = np.einsum("ik,kab,ilb->ila", dirs, sms.tau, vectors)
-    worst = max(float(np.max(np.abs(applied - lams[:, None] * vectors))),
-                float(np.max(np.abs(np.linalg.norm(vectors, axis=-1) - 1.0))))
+    worst = _worst(float(np.max(np.abs(applied - lams[:, None] * vectors))),
+                   float(np.max(np.abs(np.linalg.norm(vectors, axis=-1) - 1.0))))
     # printed special cases, up to a global phase
     printed = np.array([[1.0, 1j, 0.0], [0.0, 1j, -1.0], [1.0, 0.0, -1j]]) / math.sqrt(2.0)
     e_plus = helicity_eigensystem(np.eye(3)[[2, 0, 1]]).e_plus  # +z, +x, +y
@@ -589,6 +604,7 @@ def _check_spin_decomposition_bridge() -> CheckResult:
     """
     worst = 0.0
     ok = True
+    tau_y = build_spin_matrices().tau[1]
     for direction in (+1, -1):
         spec = _surface("TM", 1.5, 60.0, direction=direction)
         field = surface_field_phasor(spec, (0.2 / spec.kappa, 0.0, 0.0))
@@ -600,12 +616,10 @@ def _check_spin_decomposition_bridge() -> CheckResult:
             coeffs = decompose_polarization(E, np.array(axis))
             imbalance = abs(coeffs.circular_imbalance())
             scale = float(np.sum(np.abs(E) ** 2))
-            worst = max(worst, imbalance / scale)
+            worst = _worst(worst, imbalance / scale)
         # expectation value of tau.y reproduces the imbalance
-        sms = build_spin_matrices()
-        tau_y = sms.tau[1]
         expect = float(np.real(np.conj(E) @ (tau_y @ E)))
-        worst = max(worst, _rel(expect, along_y.circular_imbalance()))
+        worst = _worst(worst, _rel(expect, along_y.circular_imbalance()))
     return CheckResult("algebra-spin-bridge", ok and worst <= 1e-12, worst,
                        1e-12, "circular imbalance along y tracks s_e_y; x/z balanced")
 
@@ -618,10 +632,10 @@ def _check_six_spinor_round_trip() -> CheckResult:
         B = rng.normal(size=3) + 1j * rng.normal(size=3)
         std = SixSpinor.standard_from_fields(E, B)
         chi = SixSpinor.chiral_from_fields(E, B)
-        worst = max(worst, float(np.max(np.abs(to_chiral(std).values - chi.values))))
-        worst = max(worst, float(np.max(np.abs(to_standard(chi).values - std.values))))
-        worst = max(worst, _rel(float(np.linalg.norm(chi.values)),
-                                float(np.linalg.norm(std.values))))
+        worst = _worst(worst, float(np.max(np.abs(to_chiral(std).values - chi.values))))
+        worst = _worst(worst, float(np.max(np.abs(to_standard(chi).values - std.values))))
+        worst = _worst(worst, _rel(float(np.linalg.norm(chi.values)),
+                                   float(np.linalg.norm(std.values))))
     return CheckResult("algebra-six-spinor-round-trip", worst <= 1e-13, worst,
                        1e-13, "U maps standard <-> chiral; norms preserved")
 
@@ -633,9 +647,9 @@ def _check_natural_units() -> CheckResult:
                    geometry=geometry)
     spec = replace(spec, amplitude=amplitude_for_quanta(1, spec))
     obs = integrate_guided(spec)
-    worst = max(worst, _rel(obs.W, spec.omega), _rel(obs.S_perp, 1.0))
+    worst = _worst(worst, _rel(obs.W, spec.omega), _rel(obs.S_perp, 1.0))
     con = NATURAL
-    worst = max(worst, abs(con.c**2 * con.eps0 * con.mu0 - 1.0))
+    worst = _worst(worst, abs(con.c**2 * con.eps0 * con.mu0 - 1.0))
     return CheckResult("natural-units", worst <= 1e-9, worst, 1e-9,
                        "c = eps0 = hbar = 1 reproduces the per-quantum laws directly")
 

@@ -6,14 +6,17 @@ change that moves one bit of any report, map or verify line shows here.
 The list runs twice: in process, and in one child process whose numpy
 dispatch is restricted to the baseline and AVX2 features, so output that
 depends on the host's SIMD level (AVX-512 ``exp``, say) fails the second
-half on a host that has it.
+half on a host that has it.  The ``verify`` lines print ``measured`` to four
+digits only, so ``tests/check_values.json`` also pins ``repr(measured)`` and
+``repr(tolerance)`` of every verify check, in both halves.
 
 A change that moves output bits on purpose regenerates the digests with
 ``PYTHONPATH=src python tests/test_case_list.py``, which rewrites
-``tests/case_digests.json`` in place and prints to stderr the cases whose
-digest changed, the list the change names.  ``PYTHONPATH=src python
-tests/test_case_list.py --diff`` prints the cases whose digest differs from
-the committed one (a case missing from the file counts) and exits 1 if any
+``tests/case_digests.json`` and ``tests/check_values.json`` in place and
+prints to stderr the cases whose digest changed and the checks whose values
+changed, the list the change names.  ``PYTHONPATH=src python
+tests/test_case_list.py --diff`` prints the cases and checks that differ from
+the committed ones (one missing from its file counts) and exits 1 if any
 does, without writing.
 """
 
@@ -32,9 +35,10 @@ from pathlib import Path
 import pytest
 from numpy._core._multiarray_umath import __cpu_baseline__, __cpu_features__
 
-from transpin import cli
+from transpin import cli, verify
 
 DIGESTS = Path(__file__).with_name("case_digests.json")
+CHECK_VALUES = Path(__file__).with_name("check_values.json")
 
 _GUIDED_MODES = [("TM", 1, 1), ("TM", 2, 1), ("TM", 3, 2), ("TM", 3, 7),
                  ("TE", 1, 0), ("TE", 1, 1), ("TE", 2, 1), ("TE", 3, 0),
@@ -118,6 +122,17 @@ def moved_cases(digests: dict[str, str]) -> list[str]:
     return [case for case in CASES if digests[case] != expected.get(case)]
 
 
+def check_values() -> dict[str, str]:
+    """``repr(measured)`` and ``repr(tolerance)`` of every verify check, by name."""
+    return {r.name: f"{r.measured!r} {r.tolerance!r}" for r in verify.run_checks()}
+
+
+def moved_checks(values: dict[str, str]) -> list[str]:
+    """The checks whose values differ from the committed ones, in catalogue order."""
+    expected = json.loads(CHECK_VALUES.read_text())
+    return [name for name in values if values[name] != expected.get(name)]
+
+
 def _enabled_features() -> set[str]:
     return {name for name, on in __cpu_features__.items() if on}
 
@@ -131,6 +146,12 @@ def test_case_keeps_its_digest(case):
     assert case_digest(case) == json.loads(DIGESTS.read_text())[case]
 
 
+def test_every_check_keeps_its_full_precision_values():
+    values = check_values()
+    assert list(json.loads(CHECK_VALUES.read_text())) == list(values) == verify.check_names()
+    assert moved_checks(values) == []
+
+
 def test_cases_keep_their_digests_under_avx2_dispatch():
     native = _enabled_features()
     allowed = [*__cpu_baseline__, *sorted(native.intersection(_AVX2_AND_BELOW))]
@@ -138,11 +159,12 @@ def test_cases_keep_their_digests_under_avx2_dispatch():
     proc = subprocess.run([sys.executable, __file__, "--features"], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    features, digests = json.loads(proc.stdout)
+    features, digests, values = json.loads(proc.stdout)
     if not native - set(features):
         warnings.warn("the AVX2-restricted dispatch enables every feature this "
                       "host has, so it could detect nothing here")
     assert moved_cases(digests) == []
+    assert moved_checks(values) == []
 
 
 def test_moved_cases_names_each_changed_digest_in_list_order():
@@ -150,18 +172,24 @@ def test_moved_cases_names_each_changed_digest_in_list_order():
     assert moved_cases(digests) == []
     changed = {**digests, CASES[-1]: "0" * 64, CASES[0]: "1" * 64}
     assert moved_cases(changed) == [CASES[0], CASES[-1]]
+    values = json.loads(CHECK_VALUES.read_text())
+    names = list(values)
+    assert moved_checks(values) == []
+    assert moved_checks({**values, names[-1]: "nan nan", names[0]: "0.0 1.0"}) == [
+        names[0], names[-1]]
 
 
 if __name__ == "__main__":
-    digests = all_digests()
+    digests, values = all_digests(), check_values()
     if sys.argv[1:] == ["--features"]:
-        json.dump([sorted(_enabled_features()), digests], sys.stdout)
+        json.dump([sorted(_enabled_features()), digests, values], sys.stdout)
     elif sys.argv[1:] == ["--diff"]:
-        moved = moved_cases(digests)
-        for case in moved:
-            print(case)
+        moved = moved_cases(digests) + moved_checks(values)
+        for line in moved:
+            print(line)
         sys.exit(1 if moved else 0)
     else:
-        for case in moved_cases(digests):
-            print(case, file=sys.stderr)
+        for line in moved_cases(digests) + moved_checks(values):
+            print(line, file=sys.stderr)
         DIGESTS.write_text(json.dumps(digests, indent=1) + "\n")
+        CHECK_VALUES.write_text(json.dumps(values, indent=1) + "\n")

@@ -557,6 +557,17 @@ def test_guided_ellipse_of_tiny_intensities_is_exact(amplitude, n, capsys):
     assert json.loads(capsys.readouterr().out)["residuals"]["S_perp"] <= 1e-9
 
 
+@pytest.mark.parametrize("args", [
+    ["--family", "TM", "--m", "1", "--n", "1", "--amplitude", "1e100"],
+    ["--a", "1e-30", "--b", "1e-30", "--length", "1e-30", "--amplitude", "1e90"],
+])
+def test_guided_ellipse_of_huge_intensities_is_exact(args, capsys):
+    # the product of the two mean-square intensities overflows
+    assert main(["report", *args]) == 0
+    residuals = json.loads(capsys.readouterr().out)["residuals"]
+    assert max(residuals.values()) <= 1e-9, residuals
+
+
 @pytest.mark.parametrize("to_file", [False, True])
 def test_oversized_mode_index_is_a_config_error(to_file, tmp_path):
     path = tmp_path / "report.json"

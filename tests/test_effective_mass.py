@@ -161,6 +161,30 @@ def test_phase_regroups_into_transverse_and_longitudinal_parts(make_guided):
     assert phase_split_residual(split, events) <= 1e-12
 
 
+def _per_event_split_residual(split, events):
+    """The residual as one minkowski_dot per term and event."""
+    worst = 0.0
+    for event in np.atleast_2d(np.asarray(events, dtype=float)):
+        x_T = np.array([0.0, event[1], event[2], 0.0])
+        x_L = np.array([event[0], 0.0, 0.0, event[3]])
+        lhs = minkowski_dot(split.p_total, event)
+        rhs = minkowski_dot(split.p_T, x_T) + minkowski_dot(split.p_L, x_L)
+        worst = max(worst, abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1e-300))
+    return worst
+
+
+def test_phase_split_residual_equals_the_per_event_loop(make_guided):
+    rng = np.random.default_rng(23)
+    for family, m, n, ratio in [("TM", 2, 1, 1.3), ("TM", 2, 1, 2.5), ("TE", 1, 0, 1.7)]:
+        split = four_momentum_split(make_guided(family, m, n, ratio=ratio))
+        for events in (rng.uniform(-1.0, 1.0, (100, 4)),
+                       rng.uniform(-1e3, 1e3, (2000, 4)), [0.5, -0.25, 0.75, 1.0]):
+            got = phase_split_residual(split, events)
+            assert type(got) is float
+            assert got == _per_event_split_residual(split, events)
+        assert phase_split_residual(split, np.empty((0, 4))) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # surface mass picture
 

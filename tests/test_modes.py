@@ -22,6 +22,7 @@ from transpin import (DomainError, GuidedModeSpec, InvalidModeError,
                       guided_field_phasor, maxwell_residuals,
                       surface_field_phasor)
 from transpin.constants import NATURAL, SI
+from transpin.modes import _fd_vector_derivatives, _stack3
 
 
 # ---------------------------------------------------------------------------
@@ -293,6 +294,51 @@ def test_surface_phasors_satisfy_source_free_maxwell(make_surface):
         assert np.max(np.abs(curl_b + 1j * spec.omega / SI.c**2 * E)) <= 1e-8 * k_ref * scale / SI.c
         assert abs(div_e) <= 1e-8 * k_ref * scale
         assert abs(div_b) <= 1e-8 * k_ref * scale / SI.c
+
+
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes())
+
+
+def _scalar_fd_derivatives(spec, point, h):
+    """The centre and each axis's central differences, one scalar phasor call a point."""
+    dE, dB = [], []
+    for axis in range(3):
+        plus, minus = list(point), list(point)
+        plus[axis] = point[axis] + h
+        minus[axis] = point[axis] - h
+        fp, fm = spec.phasor(tuple(plus)), spec.phasor(tuple(minus))
+        dE.append((fp.E - fm.E) / (2.0 * h))
+        dB.append((fp.B - fm.B) / (2.0 * h))
+    return spec.phasor(point), dE, dB
+
+
+def test_maxwell_stencil_equals_seven_scalar_phasor_calls(make_guided, make_surface,
+                                                          bench_geometry):
+    # the verify catalogue's modes and points
+    a, b = bench_geometry.a, bench_geometry.b
+    cases = [(make_guided(family, m, n, ratio=1.8), (0.3 * a, 0.4 * b, 0.05))
+             for family, m, n in [("TM", 1, 1), ("TM", 2, 1), ("TM", 2, 2),
+                                  ("TE", 1, 0), ("TE", 1, 1), ("TE", 2, 1)]]
+    cases += [(spec, (0.5 / spec.kappa, 0.0, 1e-7))
+              for spec in (make_surface("TM"), make_surface("TE"))]
+    for spec, point in cases:
+        h = spec.fd_scales()[0]
+        f0, dE, dB = _fd_vector_derivatives(spec.phasor, point, h)
+        w0, wE, wB = _scalar_fd_derivatives(spec, point, h)
+        assert _same_bits(f0.E, w0.E) and _same_bits(f0.B, w0.B)
+        assert all(map(_same_bits, dE, wE)) and all(map(_same_bits, dB, wB))
+
+
+def test_stack3_equals_the_np_stack_form():
+    rng = np.random.default_rng(3)
+    cx = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
+    cy = rng.normal(size=(1, 5))
+    for parts in [(cx, cy, 0.0), (1.5, -0.0, 2j), (cy, cx, np.zeros((4, 5)))]:
+        want = np.stack(np.broadcast_arrays(*(np.asarray(c, complex) for c in parts)),
+                        axis=-1)
+        assert _same_bits(_stack3(*parts), want)
 
 
 def test_packaged_maxwell_residuals_agree_with_local_check(make_guided):

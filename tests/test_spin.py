@@ -16,7 +16,7 @@ from transpin import (ConfigurationError, FieldPhasor, analytic_spin_guided,
                       surface_field_phasor, time_average_oracle,
                       vector_potentials)
 from transpin.constants import NATURAL, SI
-from transpin.spin import (_surface_peak, instantaneous_energy_sampler,
+from transpin.spin import (_cross, _surface_peak, instantaneous_energy_sampler,
                            instantaneous_spin_sampler)
 
 RNG = np.random.default_rng(2026)
@@ -319,3 +319,20 @@ def test_surface_energy_and_momentum_profiles(make_surface):
         p[..., 2], (spec.k_z / (2.0 * spec.omega)) * con.eps0 * h2 * decay, rtol=1e-12)
     # subluminal pointwise: w >= |p| c
     assert np.all(w >= np.linalg.norm(p, axis=-1) * con.c)
+
+
+@pytest.mark.parametrize("a_shape, b_shape", [((3,), (3,)), ((7, 3), (7, 3)),
+                                              ((4, 1, 3), (5, 3)), ((3,), (2, 6, 3))])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_cross_equals_np_cross_bit_for_bit(a_shape, b_shape, dtype):
+    rng = np.random.default_rng(41)
+
+    def draw(shape):
+        values = rng.normal(size=shape) * 10.0 ** rng.integers(-30, 30, shape)
+        return values + 1j * rng.normal(size=shape) if dtype is complex else values
+
+    a, b = draw(a_shape), draw(b_shape)
+    for left, right in ((a, b), (a, np.conj(b)), (a[..., ::-1], b)):
+        got, want = _cross(left, right), np.cross(left, right)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

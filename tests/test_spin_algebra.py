@@ -15,6 +15,7 @@ from transpin import (DomainError, RepresentationError, SixSpinor,
                       generator_closure_rank, helicity_eigensystem,
                       load_reference_commutator_table, surface_field_phasor,
                       to_chiral, to_standard)
+from transpin.spin_algebra import _GENERATOR_LABELS, _generator_basis
 
 S2 = math.sqrt(2.0)
 
@@ -102,6 +103,24 @@ def test_frozen_commutator_fixture_is_reproducible():
     ref_residual = reference.pop("residual")
     assert fresh == reference
     assert fresh_residual <= 1e-12 and ref_residual <= 1e-12
+
+
+def test_commutator_table_equals_the_per_bracket_solves():
+    # one least-squares solve per bracket, as the table was first built
+    basis = _generator_basis()
+    stack = np.stack([basis[k].ravel() for k in _GENERATOR_LABELS], axis=1)
+    worst = 0.0
+    for left in _GENERATOR_LABELS:
+        for right in _GENERATOR_LABELS:
+            if left != right:
+                bracket = (basis[left] @ basis[right] - basis[right] @ basis[left]).ravel()
+                coeff, *_ = np.linalg.lstsq(stack, bracket, rcond=None)
+                worst = max(worst, float(np.max(np.abs(stack @ coeff - bracket))))
+    table = commutator_table()
+    assert repr(table.pop("residual")) == repr(worst)
+    reference = load_reference_commutator_table()
+    reference.pop("residual")
+    assert table == reference
 
 
 def test_six_generators_are_linearly_independent():

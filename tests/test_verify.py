@@ -112,9 +112,11 @@ _FLOAT_FIELDS = [(name, f.name) for name, record in _RECORDS.items()
                  for f in fields(record) if f.type.startswith("float")]
 
 
-@pytest.mark.parametrize("function, field", _FLOAT_FIELDS)
-def test_a_perturbed_output_field_fails_some_check(function, field, monkeypatch):
-    # ten times the 1e-9 contract: a field this wrong must not pass the catalogue
+def _failed_checks(function, field, perturb, monkeypatch):
+    """The checks that fail with ``function().field`` replaced by ``perturb(field)``.
+
+    The function is wrapped at verify's import site.
+    """
     original = getattr(verify, function)
 
     def perturbed(*args, **kwargs):
@@ -122,11 +124,24 @@ def test_a_perturbed_output_field_fails_some_check(function, field, monkeypatch)
         value = getattr(record, field)
         if value is None:
             return record
-        return replace(record, **{field: value * (1.0 + 1e-8)})
+        return replace(record, **{field: perturb(value)})
 
     monkeypatch.setattr(verify, function, perturbed)
-    failed = [r.name for r in run_checks() if not r.passed]
+    return [r.name for r in run_checks() if not r.passed]
+
+
+@pytest.mark.parametrize("function, field", _FLOAT_FIELDS)
+def test_a_perturbed_output_field_fails_some_check(function, field, monkeypatch):
+    # ten times the 1e-9 contract: a field this wrong must not pass the catalogue
+    failed = _failed_checks(function, field, lambda value: value * (1.0 + 1e-8), monkeypatch)
     assert failed, f"no check sees {function}().{field} scaled by 1 + 1e-8"
+
+
+@pytest.mark.parametrize("function, field", _FLOAT_FIELDS)
+def test_a_nan_output_field_fails_some_check(function, field, monkeypatch):
+    # max(worst, nan) keeps worst, so a check that reduced with it passed a NaN
+    failed = _failed_checks(function, field, lambda value: math.nan, monkeypatch)
+    assert failed, f"no check sees {function}().{field} set to NaN"
 
 
 def test_benchmark_pins_the_check_names_in_order():
