@@ -29,7 +29,7 @@ from .modes import (FieldPhasor, GuidedModeSpec, ModeFamily, ModeIndex,
                     surface_field_phasor)
 from .observables import (GuidedObservables, SurfaceObservables,
                           amplitude_for_quanta, balance_integral,
-                          ellipticity_surface, integrate_guided,
+                          ellipticity_surface, evaluate, integrate_guided,
                           integrate_surface, quantized_transverse_spin_guided,
                           quantized_transverse_spin_surface)
 from .spin import (PotentialPhasor, SpinDensityPair, analytic_spin_guided,
@@ -59,7 +59,7 @@ __all__ = [
     "GuidedObservables", "SurfaceObservables", "integrate_guided",
     "integrate_surface", "amplitude_for_quanta", "quantized_transverse_spin_guided",
     "quantized_transverse_spin_surface", "ellipticity_surface",
-    "balance_integral",
+    "balance_integral", "evaluate",
     "GuidedMassReport", "SurfaceMassReport", "FourMomentumSplit",
     "guided_mass_report", "surface_mass_report", "surface_rest_mass_density",
     "dispersion_residual",

@@ -39,6 +39,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .effective_mass import (dispersion_residual, guided_mass_report,
+                             surface_mass_report)
 from .errors import ResolutionError
 from .modes import (GuidedModeSpec, ModeFamily, SurfaceWaveSpec,
                     _require_propagating, guided_field_phasor,
@@ -55,6 +57,7 @@ __all__ = [
     "quantized_transverse_spin_surface",
     "ellipticity_surface",
     "balance_integral",
+    "evaluate",
 ]
 
 #: quanta within this distance of an integer are reported as that integer
@@ -337,3 +340,74 @@ def balance_integral(spec: GuidedModeSpec, b_amplitude_scale: float = 1.0) -> fl
     b2 = np.sum(b2, axis=-1) * b_amplitude_scale**2
     integrand = 0.25 * con.eps0 * (np.sum(e2, axis=-1) - con.c**2 * b2)
     return spec.geometry.length * float(cell * integrand.sum())
+
+
+# --------------------------------------------------------------------------
+# identities of one spec
+
+
+def _rel(actual, expected):
+    return abs(actual - expected) / max(abs(expected), 1e-300)
+
+
+def _over_root(numerator: float, radicand: float) -> float:
+    """``numerator / sqrt(radicand)``; ``inf`` where the root rounds to 0 or below."""
+    return math.inf if radicand <= 0.0 else numerator / math.sqrt(radicand)
+
+
+def evaluate(spec: GuidedModeSpec | SurfaceWaveSpec):
+    """``(obs, mass, gaps)``: quadrature totals, mass record and identity gaps.
+
+    ``gaps`` holds named relative gaps, zero to rounding for a correct mode:
+    the totals ``W``, ``P_z`` and ``S_perp`` or ``S_y`` against
+    ``closed_forms()``, ``dispersion``, ``v``, ``ellipticity``, ``theta`` and
+    ``mass_triangle``; guided ``v_g_v_p``, surface ``gamma`` and ``P_gamma``;
+    and for an integer ``n = obs.n_quanta_integer`` the per-quantum laws
+    ``S_quantized``, ``W_quanta``, ``n_quanta``, ``M_n_m`` and ``W_gamma``.
+    The quadrature runs before the mass record and ``closed_forms()``, so an
+    error names what the quadrature names; a Lorentz root that rounds to 0
+    or below makes its quotient ``inf``.
+    """
+    c = spec.constants.c
+    if isinstance(spec, GuidedModeSpec):
+        obs, mass = integrate_guided(spec), guided_mass_report(spec)
+        n = obs.n_quanta_integer
+        spin_name, spin, theta = "S_perp", obs.S_perp, obs.theta
+        v, rest, total = mass.v_g, mass.m0, mass.M0
+        spin_law = quantized_transverse_spin_guided
+        ellipse = spec.omega_c / (abs(float(np.real(spec.k_z))) * c)
+        gaps = {"v_g_v_p": _rel(mass.v_g * mass.v_p, c**2)}
+        if n is not None:
+            gaps["W_gamma"] = _rel(mass.epsilon * n, _over_root(
+                mass.M0 * c**2, 1.0 - (mass.v_g / c) ** 2))
+    else:
+        obs, mass = integrate_surface(spec), surface_mass_report(spec)
+        n = obs.n_quanta_integer
+        spin_name, spin, theta = "S_y", obs.S_y, obs.theta_prime
+        v, rest, total = mass.v, mass.m_s, mass.M_s
+        spin_law = quantized_transverse_spin_surface
+        ellipse = spec.kappa / abs(spec.k_z)
+        gamma = _over_root(1.0, 1.0 - (mass.v / c) ** 2)
+        gaps = {"gamma": _rel(gamma, mass.gamma),
+                "P_gamma": _rel(obs.P_z, mass.M_s * mass.v * gamma)}
+        if n is not None:
+            gaps["W_gamma"] = _rel(obs.W, mass.M_s * c**2 * gamma)
+    W, P_z, S = spec.closed_forms()
+    gaps.update({
+        "W": _rel(obs.W, W),
+        "P_z": _rel(obs.P_z, P_z),
+        spin_name: _rel(spin, S),
+        "dispersion": dispersion_residual(spec),
+        "v": _rel(obs.v, v),
+        "ellipticity": _rel(obs.ellipticity, ellipse),
+        "theta": _rel(math.tan(theta), ellipse),
+        "mass_triangle": _rel(mass.epsilon**2, (mass.p * c) ** 2 + (rest * c**2) ** 2),
+    })
+    if n is not None:
+        gaps.update({
+            "S_quantized": _rel(spin, spin_law(n, spec)),
+            "W_quanta": _rel(obs.W, n * spec.constants.hbar * spec.omega),
+            "n_quanta": _rel(obs.n_quanta, n),
+            "M_n_m": _rel(total, n * rest),
+        })
+    return obs, mass, gaps

@@ -1,44 +1,40 @@
 """Named self-verification checks behind ``transpin verify``.
 
-Each check rebuilds its own inputs, measures a residual against an
-analytically expected value and compares it to a pinned tolerance.  The
-catalogue doubles as executable documentation of the non-obvious
-reconciliations (see ``docs/derivations.md``): the TE_m0 doubling of the
-volume totals, the surface momentum-per-quantum form, and the circular-basis
-pole convention each have a dedicated check.
+Each check measures residuals against analytically expected values and
+compares the worst to a pinned tolerance.  The checks of one mode's totals,
+quantization, velocities, ellipse and mass identities take the worst of a
+named subset of :func:`transpin.observables.evaluate` gaps over fixed specs,
+the gaps that ``transpin report`` prints its residuals from; the others build
+their own inputs.  The catalogue doubles as executable documentation of the
+non-obvious reconciliations (see ``docs/derivations.md``): the TE_m0 doubling
+of the volume totals, the surface momentum-per-quantum form, and the
+circular-basis pole convention each have a dedicated check.
 
-The whole catalogue takes about 22-24 ms in process on one core of a
-2-core Xeon host (Python 3.11, numpy 2.4).  No check takes more than about
-2.5 ms: the largest are ``guided-totals-vs-closed-forms`` (18 quadrature
-planes) and ``algebra-helicity-eigensystem`` (1050 directions), then
-``algebra-closure``, ``guided-quantization`` and ``guided-ellipticity`` at
-about 1.3 ms each.  The checks that sample many directions, points or events
-do so in one array call each: ``guided-time-average-oracle`` takes about
-1.2 ms and ``surface-pipeline-and-oracle`` 0.6 ms, while
-``fields-maxwell-residuals`` (one 7-point stencil per mode),
-``fields-boundary-conditions`` (five points per mode) and
-``guided-four-momentum-split`` (100 events per ratio) take under 1 ms.
+The whole catalogue takes about 37 ms in process (best of 30) on one core of
+a 2-core Xeon host (Python 3.11, numpy 2.4.6) whose speed drifts by about
+1.5x.  The largest checks, at 2.2-4 ms each, are
+``guided-totals-vs-closed-forms`` (18 specs), ``algebra-helicity-eigensystem``
+(1050 directions), ``guided-ellipticity``, ``guided-quantization`` and
+``guided-mass-identities``: each ``evaluate`` integrates one quadrature plane.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constants import NATURAL, SI
 from .effective_mass import (dispersion_residual, four_momentum_split,
-                             guided_mass_report, klein_gordon_stencil_residual,
-                             minkowski_dot, phase_split_residual,
-                             surface_mass_report, surface_rest_mass_density)
+                             klein_gordon_stencil_residual, minkowski_dot,
+                             phase_split_residual, surface_rest_mass_density)
 from .modes import (GuidedModeSpec, ModeFamily, ModeIndex, SurfaceWaveSpec,
                     WaveguideGeometry, cutoff_frequency, guided_field_phasor,
                     maxwell_residuals, surface_field_phasor)
-from .observables import (amplitude_for_quanta, balance_integral,
-                          ellipticity_surface, integrate_guided,
-                          integrate_surface, quantized_transverse_spin_guided,
-                          quantized_transverse_spin_surface)
+from .observables import (_rel, amplitude_for_quanta, balance_integral,
+                          ellipticity_surface, evaluate, integrate_guided,
+                          integrate_surface)
 from .spin import (analytic_spin_guided, analytic_spin_surface,
                    energy_density, instantaneous_energy_sampler,
                    instantaneous_spin_sampler, momentum_density,
@@ -81,11 +77,6 @@ def _surface(family="TM", eta=1.5, phi_deg=60.0, omega=1.2e15, amplitude=1.0,
                            omega, amplitude, area, direction, constants)
 
 
-def _rel(actual, expected):
-    scale = max(abs(expected), 1e-300)
-    return abs(actual - expected) / scale
-
-
 def _worst(*values: float) -> float:
     """The largest of ``values``, or the first NaN among them.
 
@@ -99,9 +90,15 @@ def _worst(*values: float) -> float:
     return max(values)
 
 
-def _totals_gap(obs, spec) -> float:
-    """Worst relative gap of the quadrature ``(W, P_z, S)`` to ``spec.closed_forms()``."""
-    return _worst(*map(_rel, astuple(obs)[:3], spec.closed_forms()))
+def _gaps(specs, *names: str) -> float:
+    """The worst of the named :func:`~transpin.observables.evaluate` gaps over ``specs``."""
+    every = [evaluate(spec)[2] for spec in specs]
+    return _worst(*(gaps[name] for gaps in every for name in names))
+
+
+def _quantized(spec, n_quanta: int):
+    """``spec`` with the amplitude that holds ``n_quanta`` quanta."""
+    return replace(spec, amplitude=amplitude_for_quanta(n_quanta, spec))
 
 
 # --------------------------------------------------------------------------
@@ -109,29 +106,18 @@ def _totals_gap(obs, spec) -> float:
 
 
 def _check_guided_totals() -> CheckResult:
-    worst = 0.0
-    for family, m, n in _MODES:
-        for ratio in _RATIOS:
-            spec = _guided(family, m, n, ratio)
-            worst = _worst(worst, _totals_gap(integrate_guided(spec), spec))
+    worst = _gaps((_guided(family, m, n, ratio) for family, m, n in _MODES
+                   for ratio in _RATIOS), "W", "P_z", "S_perp")
     return CheckResult("guided-totals-vs-closed-forms", worst <= 1e-9, worst,
                        1e-9, "quadrature W, P_z, S_perp over 6 modes x 3 ratios")
 
 
 def _check_guided_quantization() -> CheckResult:
-    worst = 0.0
-    for n_quanta in (1, 2, 5):
-        for ratio in _RATIOS:
-            spec = _guided("TM", 1, 1, ratio)
-            spec = replace(spec, amplitude=amplitude_for_quanta(n_quanta, spec))
-            obs = integrate_guided(spec)
-            expected = quantized_transverse_spin_guided(n_quanta, spec)
-            worst = _worst(worst, _rel(obs.S_perp, expected),
-                           _rel(obs.W, n_quanta * spec.constants.hbar * spec.omega),
-                           _rel(obs.n_quanta, n_quanta))
+    worst = _gaps((_quantized(_guided("TM", 1, 1, ratio), n_quanta)
+                   for n_quanta in (1, 2, 5) for ratio in _RATIOS),
+                  "S_quantized", "W_quanta", "n_quanta")
     # circular point: S_perp = n hbar exactly at omega = sqrt(2) omega_c
-    spec = _guided("TE", 1, 0, math.sqrt(2.0))
-    spec = replace(spec, amplitude=amplitude_for_quanta(3, spec))
+    spec = _quantized(_guided("TE", 1, 0, math.sqrt(2.0)), 3)
     worst = _worst(worst, _rel(integrate_guided(spec).S_perp,
                                3 * spec.constants.hbar))
     return CheckResult("guided-quantization", worst <= 1e-9, worst, 1e-9,
@@ -249,12 +235,7 @@ def _check_spin_momentum_locking() -> CheckResult:
 
 
 def _check_guided_velocity_duality() -> CheckResult:
-    worst = 0.0
-    for ratio in _RATIOS:
-        spec = _guided("TE", 1, 0, ratio)
-        report = guided_mass_report(spec)
-        worst = _worst(worst, _rel(integrate_guided(spec).v, report.v_g),
-                       _rel(report.v_g * report.v_p, spec.constants.c**2))
+    worst = _gaps((_guided("TE", 1, 0, ratio) for ratio in _RATIOS), "v", "v_g_v_p")
     return CheckResult("guided-velocity-duality", worst <= 1e-12, worst, 1e-12,
                        "energy velocity = group velocity c^2 k_z/omega; v_g v_p = c^2")
 
@@ -265,8 +246,7 @@ def _check_guided_spin_extinction() -> CheckResult:
     ratios = [1.01, 1.1, 1.2, math.sqrt(2.0), 2.0, 3.0, 6.0]
     values = []
     for ratio in ratios:
-        spec = _guided("TM", 1, 1, ratio)
-        spec = replace(spec, amplitude=amplitude_for_quanta(1, spec))
+        spec = _quantized(_guided("TM", 1, 1, ratio), 1)
         values.append(abs(integrate_guided(spec).S_perp) / spec.constants.hbar)
     peak = values[ratios.index(math.sqrt(2.0))]
     rising = all(values[i] < values[i + 1] for i in range(ratios.index(math.sqrt(2.0))))
@@ -278,21 +258,9 @@ def _check_guided_spin_extinction() -> CheckResult:
 
 
 def _check_guided_mass_identities() -> CheckResult:
-    worst = 0.0
-    for ratio in (1.1, 2.0, 10.0):
-        for n_quanta in (1, 2, 5):
-            spec = _guided("TE", 1, 1, ratio)
-            spec = replace(spec, amplitude=amplitude_for_quanta(n_quanta, spec))
-            rep = guided_mass_report(spec)
-            c = spec.constants.c
-            worst = _worst(
-                worst,
-                _rel(rep.epsilon**2, (rep.p * c) ** 2 + (rep.m0 * c**2) ** 2),
-                _rel(rep.v_g * rep.v_p, c**2),
-                _rel(rep.M0, n_quanta * rep.m0),
-                _rel(rep.epsilon * n_quanta,
-                     rep.M0 * c**2 / math.sqrt(1.0 - (rep.v_g / c) ** 2)),
-            )
+    worst = _gaps((_quantized(_guided("TE", 1, 1, ratio), n_quanta)
+                   for ratio in (1.1, 2.0, 10.0) for n_quanta in (1, 2, 5)),
+                  "mass_triangle", "v_g_v_p", "M_n_m", "W_gamma")
     return CheckResult("guided-mass-identities", worst <= 1e-12, worst, 1e-12,
                        "energy-momentum-mass triangle, M0 = n m0, W = gamma M0 c^2")
 
@@ -350,15 +318,9 @@ def _check_te_m0_doubling() -> CheckResult:
 
 
 def _check_guided_ellipticity() -> CheckResult:
-    worst = 0.0
-    for family, m, n in [("TM", 1, 1), ("TM", 2, 2), ("TE", 1, 0), ("TE", 2, 1)]:
-        for ratio in (1.05, math.sqrt(2.0), 3.0):
-            spec = _guided(family, m, n, ratio)
-            obs = integrate_guided(spec)
-            e, theta = obs.ellipticity, obs.theta
-            con = spec.constants
-            expected = spec.omega_c / (abs(float(np.real(spec.k_z))) * con.c)
-            worst = _worst(worst, _rel(e, expected), _rel(math.tan(theta), expected))
+    worst = _gaps((_guided(family, m, n, ratio)
+                   for family, m, n in [("TM", 1, 1), ("TM", 2, 2), ("TE", 1, 0), ("TE", 2, 1)]
+                   for ratio in (1.05, math.sqrt(2.0), 3.0)), "ellipticity", "theta")
     return CheckResult("guided-ellipticity", worst <= 1e-10, worst, 1e-10,
                        "quadrature h_long/h_perp = omega_c/(|k_z| c) for TM (E) and TE (B)")
 
@@ -401,28 +363,16 @@ def _check_fields_boundary() -> CheckResult:
 
 
 def _check_surface_totals() -> CheckResult:
-    worst = 0.0
-    for family in ("TM", "TE"):
-        for eta in (1.45, 2.0):
-            for phi_deg in (50.0, 70.0):
-                spec = _surface(family, eta, phi_deg)
-                worst = _worst(worst, _totals_gap(integrate_surface(spec), spec))
+    worst = _gaps((_surface(family, eta, phi_deg) for family in ("TM", "TE")
+                   for eta in (1.45, 2.0) for phi_deg in (50.0, 70.0)), "W", "P_z", "S_y")
     return CheckResult("surface-totals-vs-closed-forms", worst <= 1e-9, worst,
                        1e-9, "one-node half-space quadrature, both families")
 
 
 def _check_surface_quantization() -> CheckResult:
-    worst = 0.0
-    for family in ("TM", "TE"):
-        for n_quanta in (1, 3):
-            spec = _surface(family, 1.45, 65.0)
-            spec = replace(spec, amplitude=amplitude_for_quanta(n_quanta, spec))
-            obs = integrate_surface(spec)
-            hbar = spec.constants.hbar
-            expected = quantized_transverse_spin_surface(n_quanta, spec)
-            worst = _worst(worst, _rel(obs.S_y, expected),
-                           _rel(obs.W, n_quanta * hbar * spec.omega),
-                           _rel(obs.n_quanta, n_quanta))
+    worst = _gaps((_quantized(_surface(family, 1.45, 65.0), n_quanta)
+                   for family in ("TM", "TE") for n_quanta in (1, 3)),
+                  "S_quantized", "W_quanta", "n_quanta")
     return CheckResult("surface-quantization", worst <= 1e-9, worst, 1e-9,
                        "S_y = 2 n hbar tan(theta'); n_quanta = W/(hbar omega)")
 
@@ -435,8 +385,7 @@ def _check_surface_momentum_form() -> CheckResult:
     ``(omega/(c k_z))^2`` (they coincide in the guided case, where
     ``v_g v_p = c^2`` makes ``(v_g/c^2) hbar omega = hbar k_z``).
     """
-    spec = _surface("TM", 1.5, 60.0)
-    spec = replace(spec, amplitude=amplitude_for_quanta(1, spec))
+    spec = _quantized(_surface("TM", 1.5, 60.0), 1)
     obs = integrate_surface(spec)
     con = spec.constants
     v = spec.omega / spec.k_z
@@ -450,23 +399,10 @@ def _check_surface_momentum_form() -> CheckResult:
 
 
 def _check_surface_mass_identities() -> CheckResult:
-    worst = 0.0
-    for family in ("TM", "TE"):
-        spec = _surface(family, 1.6, 55.0)
-        spec = replace(spec, amplitude=amplitude_for_quanta(2, spec))
-        rep = surface_mass_report(spec)
-        obs = integrate_surface(spec)
+    specs = [_quantized(_surface(family, 1.6, 55.0), 2) for family in ("TM", "TE")]
+    worst = _gaps(specs, "mass_triangle", "M_n_m", "W_gamma", "P_gamma", "gamma", "v")
+    for spec in specs:
         con = spec.constants
-        gamma = 1.0 / math.sqrt(1.0 - (rep.v / con.c) ** 2)
-        worst = _worst(
-            worst,
-            _rel(rep.epsilon**2, (rep.p * con.c) ** 2 + (rep.m_s * con.c**2) ** 2),
-            _rel(rep.M_s, 2 * rep.m_s),
-            _rel(obs.W, rep.M_s * con.c**2 * gamma),
-            _rel(obs.P_z, rep.M_s * rep.v * gamma),
-            _rel(gamma, rep.gamma),
-            _rel(obs.v, rep.v),
-        )
         # pointwise: w^2 - p_z^2 c^2 = rho0^2 c^4 along the decay axis
         xs = np.linspace(0.0, 5.0 / spec.kappa, 24)
         field = surface_field_phasor(spec, (xs, 0.0, 0.0))
@@ -513,15 +449,12 @@ def _check_surface_subluminal() -> CheckResult:
 
 
 def _check_surface_ellipticity() -> CheckResult:
-    worst = 0.0
-    for family in ("TM", "TE"):
-        spec = _surface(family, 1.8, 62.0)
+    specs = [_surface(family, 1.8, 62.0) for family in ("TM", "TE")]
+    worst = _gaps(specs, "ellipticity", "theta")
+    for spec in specs:
         e, theta_prime = ellipticity_surface(spec)
-        obs = integrate_surface(spec)
         expected = spec.kappa / abs(spec.k_z)
-        worst = _worst(worst, _rel(e, expected), _rel(math.tan(theta_prime), expected),
-                       _rel(obs.ellipticity, expected),
-                       _rel(math.tan(obs.theta_prime), expected))
+        worst = _worst(worst, _rel(e, expected), _rel(math.tan(theta_prime), expected))
     return CheckResult("surface-ellipticity", worst <= 1e-12, worst, 1e-12,
                        "|E_z/E_x| (TM) and |B_z/B_x| (TE) = kappa/|k_z| < 1")
 
@@ -643,9 +576,8 @@ def _check_six_spinor_round_trip() -> CheckResult:
 def _check_natural_units() -> CheckResult:
     worst = 0.0
     geometry = WaveguideGeometry(1.0, 0.5, 2.0)
-    spec = _guided("TM", 1, 1, math.sqrt(2.0), constants=NATURAL,
-                   geometry=geometry)
-    spec = replace(spec, amplitude=amplitude_for_quanta(1, spec))
+    spec = _quantized(_guided("TM", 1, 1, math.sqrt(2.0), constants=NATURAL,
+                              geometry=geometry), 1)
     obs = integrate_guided(spec)
     worst = _worst(worst, _rel(obs.W, spec.omega), _rel(obs.S_perp, 1.0))
     con = NATURAL

@@ -495,6 +495,7 @@ _SIGNATURES = {
     "quantized_transverse_spin_surface": ("n", "spec"),
     "ellipticity_surface": ("spec",),
     "balance_integral": ("spec", "b_amplitude_scale"),
+    "evaluate": ("spec",),
 }
 
 

@@ -2,15 +2,19 @@
 
 import ast
 import math
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from transpin import (GuidedMassReport, GuidedObservables, SurfaceMassReport,
-                      SurfaceObservables, analytic_spin_surface, energy_density,
-                      spin_densities, time_average_oracle, verify)
+import transpin
+from transpin import (GuidedMassReport, GuidedModeSpec, GuidedObservables,
+                      SurfaceMassReport, SurfaceObservables,
+                      analytic_spin_surface, energy_density,
+                      amplitude_for_quanta, cli, evaluate, spin_densities,
+                      time_average_oracle)
 from transpin.spin import (instantaneous_energy_sampler,
                            instantaneous_spin_sampler)
 from transpin.verify import check_names, run_checks
@@ -103,7 +107,7 @@ def test_batched_oracle_gap_is_the_worst_point_gap(make_guided, make_surface):
 # ---------------------------------------------------------------------------
 # every printed number is seen by some check
 
-#: the record each wrapped call returns, by its name at verify's import site
+#: the record each wrapped call returns, by its name in the package
 _RECORDS = {"integrate_guided": GuidedObservables,
             "integrate_surface": SurfaceObservables,
             "guided_mass_report": GuidedMassReport,
@@ -112,12 +116,22 @@ _FLOAT_FIELDS = [(name, f.name) for name, record in _RECORDS.items()
                  for f in fields(record) if f.type.startswith("float")]
 
 
+def _replace_everywhere(original, wrapper, monkeypatch):
+    """Bind ``wrapper`` wherever a ``transpin`` module binds ``original``."""
+    for name, module in list(sys.modules.items()):
+        if name == "transpin" or name.startswith("transpin."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, wrapper)
+
+
 def _failed_checks(function, field, perturb, monkeypatch):
     """The checks that fail with ``function().field`` replaced by ``perturb(field)``.
 
-    The function is wrapped at verify's import site.
+    The function is wrapped at every binding of it in a ``transpin`` module,
+    as ``perfbench/tracer.py`` wraps it, so every caller sees the wrapper.
     """
-    original = getattr(verify, function)
+    original = getattr(transpin, function)
 
     def perturbed(*args, **kwargs):
         record = original(*args, **kwargs)
@@ -126,7 +140,7 @@ def _failed_checks(function, field, perturb, monkeypatch):
             return record
         return replace(record, **{field: perturb(value)})
 
-    monkeypatch.setattr(verify, function, perturbed)
+    _replace_everywhere(original, perturbed, monkeypatch)
     return [r.name for r in run_checks() if not r.passed]
 
 
@@ -142,6 +156,57 @@ def test_a_nan_output_field_fails_some_check(function, field, monkeypatch):
     # max(worst, nan) keeps worst, so a check that reduced with it passed a NaN
     failed = _failed_checks(function, field, lambda value: math.nan, monkeypatch)
     assert failed, f"no check sees {function}().{field} set to NaN"
+
+
+# ---------------------------------------------------------------------------
+# every identity that evaluate computes is read
+
+_SHARED_GAPS = {"W", "P_z", "dispersion", "v", "ellipticity", "theta", "mass_triangle"}
+_GAPS = {"guided": _SHARED_GAPS | {"S_perp", "v_g_v_p"},
+         "surface": _SHARED_GAPS | {"S_y", "gamma", "P_gamma"}}
+#: the per-quantum laws, present when obs.n_quanta_integer is an integer
+_QUANTA_GAPS = {"S_quantized", "W_quanta", "n_quanta", "M_n_m", "W_gamma"}
+
+
+def test_evaluate_key_sets_are_pinned(make_guided, make_surface):
+    for kind, spec in [("guided", make_guided("TE", 1, 0, ratio=1.3)),
+                       ("guided", make_guided("TM", 2, 1, ratio=3.0)),
+                       ("surface", make_surface("TM")), ("surface", make_surface("TE"))]:
+        obs, _, gaps = evaluate(spec)
+        assert obs.n_quanta_integer is None and set(gaps) == _GAPS[kind]
+        quantized = replace(spec, amplitude=amplitude_for_quanta(2, spec))
+        obs, _, gaps = evaluate(quantized)
+        assert obs.n_quanta_integer == 2 and set(gaps) == _GAPS[kind] | _QUANTA_GAPS
+        assert max(gaps.values()) <= 1e-9
+
+
+class _ReadGaps(dict):
+    """A gap dict that adds the name of each gap read to ``read``."""
+
+    def __init__(self, gaps, read):
+        super().__init__(gaps)
+        self.read = read
+
+    def __getitem__(self, name):
+        self.read.add(name)
+        return super().__getitem__(name)
+
+
+def test_every_evaluate_gap_is_read_by_a_check_or_report(monkeypatch, capsys):
+    read = {"guided": set(), "surface": set()}
+    original = transpin.observables.evaluate
+
+    def recording(spec):
+        obs, mass, gaps = original(spec)
+        kind = "guided" if isinstance(spec, GuidedModeSpec) else "surface"
+        return obs, mass, _ReadGaps(gaps, read[kind])
+
+    _replace_everywhere(original, recording, monkeypatch)
+    assert all(r.passed for r in run_checks())
+    for kind in ("guided", "surface"):
+        assert cli.main(["report", "--kind", kind, "--n-quanta", "2"]) == 0
+    capsys.readouterr()
+    assert read == {kind: gaps | _QUANTA_GAPS for kind, gaps in _GAPS.items()}
 
 
 def test_benchmark_pins_the_check_names_in_order():
