@@ -5,8 +5,8 @@ A propagating guided mode disperses like a relativistic massive particle::
     (hbar omega)^2 = (hbar k_z c)^2 + (m0 c^2)^2,   m0 = hbar omega_c / c^2
 
 with group velocity ``v_g = c sqrt(1 - (omega_c/omega)^2)``, phase velocity
-``v_p = c^2/v_g`` and total effective rest mass ``M0 = W sqrt(1-v^2/c^2)/c^2
-= n m0`` for ``n`` quanta.  The transverse and longitudinal parts of the
+``v_p = c^2/v_g`` and total effective rest mass ``M0 = W sqrt(1-v_g^2/c^2)/c^2
+= W omega_c/(omega c^2) = n m0`` for ``n`` quanta.  The transverse and longitudinal parts of the
 four-momentum are Minkowski-orthogonal, and any field component solves a
 1+1-dimensional Klein-Gordon equation in ``(t, z)`` with mass ``m0``.
 
@@ -98,7 +98,8 @@ def guided_mass_report(spec: GuidedModeSpec) -> GuidedMassReport:
     k_z = float(np.real(spec.k_z))
     v_g = con.c**2 * k_z / spec.omega
     W = spec.closed_forms()[0]
-    M0 = W * math.sqrt(1.0 - (v_g / con.c) ** 2) / con.c**2
+    # sqrt(1 - (v_g/c)^2) = omega_c/omega, which does not cancel far above cutoff
+    M0 = W * spec.omega_c / (spec.omega * con.c**2)
     return GuidedMassReport(
         m0=m0, epsilon=epsilon, relativistic_applicable=True,
         p=con.hbar * k_z, v_g=v_g, v_p=spec.omega / k_z, M0=M0)

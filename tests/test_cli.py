@@ -322,6 +322,16 @@ def test_guided_report_fields(capsys):
                         299792458.0**2, rel_tol=1e-12)
 
 
+@pytest.mark.parametrize("family, m, n", [("TE", 1, 0), ("TM", 1, 1)])
+def test_total_rest_mass_is_n_m0_far_above_cutoff(family, m, n, capsys):
+    # W sqrt(1 - (v_g/c)^2)/c^2 cancels as omega/omega_c grows; omega_c/omega does not
+    for ratio in np.logspace(math.log10(1.01), 15.0, 16).tolist():
+        assert main(["report", "--family", family, "--m", str(m), "--n", str(n),
+                     "--n-quanta", "3", "--omega-ratio", repr(ratio)]) == 0
+        mass = json.loads(capsys.readouterr().out)["mass"]
+        assert abs(mass["M0"] - 3 * mass["m0"]) <= 1e-12 * 3 * mass["m0"], ratio
+
+
 def test_surface_report_fields(capsys):
     assert main(["report", "--kind", "surface", "--family", "TE",
                  "--eta", "2.0", "--phi-deg", "70", "--omega", "1.3e15",
