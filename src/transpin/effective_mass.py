@@ -6,9 +6,10 @@ A propagating guided mode disperses like a relativistic massive particle::
 
 with group velocity ``v_g = c sqrt(1 - (omega_c/omega)^2)``, phase velocity
 ``v_p = c^2/v_g`` and total effective rest mass ``M0 = W sqrt(1-v_g^2/c^2)/c^2
-= W omega_c/(omega c^2) = n m0`` for ``n`` quanta.  The transverse and longitudinal parts of the
-four-momentum are Minkowski-orthogonal, and any field component solves a
-1+1-dimensional Klein-Gordon equation in ``(t, z)`` with mass ``m0``.
+= W omega_c/(omega c^2) = n m0`` for ``n`` quanta.  The transverse and
+longitudinal parts of the four-momentum are Minkowski-orthogonal, and any
+field component solves a 1+1-dimensional Klein-Gordon equation in ``(t, z)``
+with mass ``m0``.
 
 A surface wave plays the same game with the roles of phase and group
 velocity exchanged: its *energy transport* velocity equals the (subluminal)

@@ -347,7 +347,8 @@ def balance_integral(spec: GuidedModeSpec, b_amplitude_scale: float = 1.0) -> fl
 
 
 def _rel(actual, expected):
-    return abs(actual - expected) / max(abs(expected), 1e-300)
+    scale = max(abs(expected), 1e-300)
+    return abs(actual - expected) / scale
 
 
 def _over_root(numerator: float, radicand: float) -> float:

@@ -12,8 +12,8 @@ import pytest
 import transpin
 from transpin import (GuidedMassReport, GuidedModeSpec, GuidedObservables,
                       SurfaceMassReport, SurfaceObservables,
-                      analytic_spin_surface, energy_density,
-                      amplitude_for_quanta, cli, evaluate, spin_densities,
+                      amplitude_for_quanta, analytic_spin_surface, cli,
+                      energy_density, evaluate, spin_densities,
                       time_average_oracle)
 from transpin.spin import (instantaneous_energy_sampler,
                            instantaneous_spin_sampler)
@@ -193,12 +193,14 @@ class _ReadGaps(dict):
 
 
 def test_every_evaluate_gap_is_read_by_a_check_or_report(monkeypatch, capsys):
+    computed = {"guided": set(), "surface": set()}
     read = {"guided": set(), "surface": set()}
     original = transpin.observables.evaluate
 
     def recording(spec):
         obs, mass, gaps = original(spec)
         kind = "guided" if isinstance(spec, GuidedModeSpec) else "surface"
+        computed[kind].update(gaps)
         return obs, mass, _ReadGaps(gaps, read[kind])
 
     _replace_everywhere(original, recording, monkeypatch)
@@ -206,7 +208,7 @@ def test_every_evaluate_gap_is_read_by_a_check_or_report(monkeypatch, capsys):
     for kind in ("guided", "surface"):
         assert cli.main(["report", "--kind", kind, "--n-quanta", "2"]) == 0
     capsys.readouterr()
-    assert read == {kind: gaps | _QUANTA_GAPS for kind, gaps in _GAPS.items()}
+    assert read == computed == {kind: gaps | _QUANTA_GAPS for kind, gaps in _GAPS.items()}
 
 
 def test_benchmark_pins_the_check_names_in_order():
