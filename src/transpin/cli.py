@@ -176,7 +176,7 @@ class RunConfig:
     def _resolve_amplitude(self, spec) -> float:
         if self.values["normalize"] == "paper-figures":
             con = spec.constants
-            k_z = abs(float(np.real(spec.k_z)))
+            k_z = abs(float(spec.k_z.real))
             if k_z == 0.0:
                 raise ConfigurationError(
                     "normalize preset 'paper-figures' needs a propagating mode")
@@ -386,7 +386,7 @@ def _report(config: RunConfig, spec: GuidedModeSpec | SurfaceWaveSpec) -> dict[s
         "kind": config["kind"],
         "family": config["family"],
         "omega": spec.omega,
-        "k_z": float(np.real(spec.k_z)),
+        "k_z": float(spec.k_z.real),
         "amplitude": spec.amplitude,
         "combine_spins": config["combine-spins"],
         "observables": observables,

@@ -96,7 +96,7 @@ def guided_mass_report(spec: GuidedModeSpec) -> GuidedMassReport:
         return GuidedMassReport(m0=m0, epsilon=epsilon,
                                 relativistic_applicable=False,
                                 p=None, v_g=None, v_p=None, M0=None)
-    k_z = float(np.real(spec.k_z))
+    k_z = float(spec.k_z.real)
     v_g = con.c**2 * k_z / spec.omega
     W = spec.closed_forms()[0]
     # sqrt(1 - (v_g/c)^2) = omega_c/omega, which does not cancel far above cutoff
@@ -188,7 +188,7 @@ def klein_gordon_stencil_residual(spec: GuidedModeSpec) -> float:
         x0, y0 = geom.a / (2.0 * idx.m), geom.b / (2.0 * idx.n)
     else:
         x0, y0 = 0.0, 0.0
-    k_z = float(np.real(spec.k_z))
+    k_z = float(spec.k_z.real)
     wavelength = 2.0 * math.pi / abs(k_z)
     z0 = 0.1 * wavelength
     dt = 1e-3 * (2.0 * math.pi / spec.omega)
@@ -243,7 +243,7 @@ def four_momentum_split(spec: GuidedModeSpec) -> FourMomentumSplit:
     geom, idx = spec.geometry, spec.index
     kx = idx.m * math.pi / geom.a
     ky = idx.n * math.pi / geom.b
-    k_z = float(np.real(spec.k_z))
+    k_z = float(spec.k_z.real)
     hb = con.hbar
     p_T = np.array([0.0, hb * kx, hb * ky, 0.0])
     p_L = np.array([hb * spec.omega / con.c, 0.0, 0.0, hb * k_z])

@@ -24,6 +24,10 @@ coordinates; field vectors live on the trailing axis of shape ``(..., 3)``.
 Both spec kinds answer ``phasor``, ``closed_forms``, ``rest_term`` (the
 ``Omega^2`` of ``omega^2 = c^2 k_z^2 + Omega^2``), ``fd_scales`` and
 ``is_propagating`` for themselves, so a caller needs no branch on the kind.
+A spec derives each of its scalars (``omega_c``, ``k_z``, ``kappa`` and
+the ``closed_forms()`` tuple) once, on first use, and keeps it in its
+instance dict; ``==``, ``hash``, ``replace`` and ``asdict`` see the fields
+only.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import math
 import sys
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -149,14 +154,33 @@ def _require_propagating(spec: GuidedModeSpec | SurfaceWaveSpec, what: str) -> N
             f"(omega = {spec.omega:.6g} <= omega_c = {spec.omega_c:.6g})")
 
 
+def _normal_product(factors: tuple[float, ...]) -> float | None:
+    """The left-to-right product of ``factors``; ``None`` once a partial product is not normal."""
+    product = 1.0
+    for factor in factors:
+        # a Python float, which overflows to inf without a numpy warning
+        product *= float(factor)
+        if not (sys.float_info.min <= abs(product) <= sys.float_info.max):
+            return None
+    return product
+
+
 def _ratio(numerator: tuple[float, ...], denominator: tuple[float, ...]) -> float:
     """``prod(numerator) / prod(denominator)`` on the factors' mantissas.
 
     The powers of two are applied once at the end, so no partial product
     underflows, and a result that the plain expression keeps normal has the
     same bits.  Factors are taken after any ``**``, which does not always
-    round the same on a mantissa.
+    round the same on a mantissa.  Where every partial product and the
+    quotient of the plain expression are normal floats, that quotient is
+    returned as is: scaling by a power of two is exact in the normal range,
+    so it has the bits of the mantissa path.
     """
+    top, bottom = _normal_product(numerator), _normal_product(denominator)
+    if top is not None and bottom is not None:
+        value = top / bottom
+        if sys.float_info.min <= abs(value) <= sys.float_info.max:
+            return value
     top = [math.frexp(factor) for factor in numerator]
     bottom = [math.frexp(factor) for factor in denominator]
     value = math.prod(m for m, _ in top) / math.prod(m for m, _ in bottom)
@@ -202,11 +226,11 @@ class GuidedModeSpec:
         # with omega and omega_c in range, k_z is finite as well
         _check_scale("omega_c (from a, b, m, n)", self.omega_c)
 
-    @property
+    @cached_property
     def omega_c(self) -> float:
         return cutoff_frequency(self.index, self.geometry, self.constants)
 
-    @property
+    @cached_property
     def k_z(self):
         """Signed axial wavenumber (imaginary for evanescent modes)."""
         return self.direction * axial_wavenumber(self.omega, self.omega_c, self.constants)
@@ -234,13 +258,17 @@ class GuidedModeSpec:
             P_z    = nu * eps0 omega k_z V h^2 / (8 omega_c^2)
             S_perp = nu * eps0 c k_z V h^2 / (4 omega_c omega)
         """
+        return self._closed_forms
+
+    @cached_property
+    def _closed_forms(self) -> tuple[float, float, float]:
         _require_propagating(self, "closed-form totals")
         con = self.constants
         nu = 2.0 if (self.index.family is ModeFamily.TE and self.index.n == 0) else 1.0
         V = self.geometry.volume
         h2 = self.amplitude**2
         omega, omega_c = self.omega, self.omega_c
-        k_z = float(np.real(self.k_z))
+        k_z = float(self.k_z.real)
         W = _ratio((nu, con.eps0, omega**2, V, h2), (8.0, omega_c**2))
         P_z = _ratio((nu, con.eps0, omega, k_z, V, h2), (8.0, omega_c**2))
         S_perp = _ratio((nu, con.eps0, con.c, k_z, V, h2), (4.0, omega_c, omega))
@@ -294,13 +322,13 @@ class SurfaceWaveSpec:
         _check_scale("kappa (from omega, eta, phi)", self.kappa)
         _check_scale("k_z (from omega, eta, phi)", self.k_z)
 
-    @property
+    @cached_property
     def kappa(self) -> float:
         """Transverse decay rate [1/m]; always positive."""
         s = self.eta * math.sin(self.phi)
         return (self.omega / self.constants.c) * math.sqrt(s * s - 1.0)
 
-    @property
+    @cached_property
     def k_z(self) -> float:
         """Signed axial wavenumber; ``|k_z| > omega/c`` always."""
         return self.direction * (self.omega / self.constants.c) * self.eta * math.sin(self.phi)
@@ -326,6 +354,10 @@ class SurfaceWaveSpec:
             P_z = eps0 A h'^2 k_z / (4 kappa omega)
             S_y = eps0 A h'^2 k_z c^2 / (2 omega^3)
         """
+        return self._closed_forms
+
+    @cached_property
+    def _closed_forms(self) -> tuple[float, float, float]:
         con = self.constants
         A, h2 = self.area, self.amplitude**2
         omega, k_z, kappa = self.omega, self.k_z, self.kappa
@@ -352,8 +384,7 @@ class FieldPhasor:
 
 def _stack3(cx, cy, cz) -> np.ndarray:
     """The three components broadcast together on a new trailing complex axis."""
-    out = np.empty(np.broadcast_shapes(np.shape(cx), np.shape(cy), np.shape(cz)) + (3,),
-                   complex)
+    out = np.empty(np.broadcast(cx, cy, cz).shape + (3,), complex)
     out[..., 0], out[..., 1], out[..., 2] = cx, cy, cz
     return out
 
@@ -399,9 +430,9 @@ def guided_field_phasor(spec: GuidedModeSpec, point, t=0.0) -> FieldPhasor:
     x = np.asarray(point[0], dtype=float)
     y = np.asarray(point[1], dtype=float)
     z = np.asarray(point[2], dtype=float)
-    if np.any(x < 0.0) or np.any(x > geom.a):
+    if (x < 0.0).any() or (x > geom.a).any():
         raise DomainError(f"x must lie in [0, {geom.a}]")
-    if np.any(y < 0.0) or np.any(y > geom.b):
+    if (y < 0.0).any() or (y > geom.b).any():
         raise DomainError(f"y must lie in [0, {geom.b}]")
 
     omega, omega_c, k_z = spec.omega, spec.omega_c, spec.k_z
@@ -442,7 +473,7 @@ def surface_field_phasor(spec: SurfaceWaveSpec, point, t=0.0) -> FieldPhasor:
     con = spec.constants
     x = np.asarray(point[0], dtype=float)
     z = np.asarray(point[2], dtype=float)
-    if np.any(x < 0.0):
+    if (x < 0.0).any():
         raise DomainError("surface wave is defined on the vacuum side x >= 0")
 
     omega, k_z, kappa = spec.omega, spec.k_z, spec.kappa

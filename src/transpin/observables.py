@@ -155,7 +155,7 @@ def _guided_plane(spec: GuidedModeSpec):
     E, B = field.E, field.B
     # an overflow shows as inf or nan in a total, which the range checks name
     with np.errstate(over="ignore", invalid="ignore"):
-        s_z = np.real(E[..., 0] * np.conj(B[..., 1]) - E[..., 1] * np.conj(B[..., 0]))
+        s_z = (E[..., 0] * B[..., 1].conj() - E[..., 1] * B[..., 0].conj()).real
         return hx * hy, np.abs(E) ** 2, np.abs(B) ** 2, s_z
 
 
@@ -187,12 +187,12 @@ def integrate_guided(spec: GuidedModeSpec) -> GuidedObservables:
     _require_propagating(spec, "volume integration")
     con = spec.constants
     omega = spec.omega
-    k_z = float(np.real(spec.k_z))
+    k_z = float(spec.k_z.real)
     length = spec.geometry.length
 
     cell, e2, b2, s_z = _guided_plane(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        w_den = 0.25 * con.eps0 * (np.sum(e2, axis=-1) + con.c**2 * np.sum(b2, axis=-1))
+        w_den = 0.25 * con.eps0 * (e2.sum(axis=-1) + con.c**2 * b2.sum(axis=-1))
         W = length * float(cell * w_den.sum())
         P_z = length * float(cell * (0.5 * con.eps0 * s_z).sum())
         # before the intensities, which overflow whenever W does
@@ -294,7 +294,7 @@ def quantized_transverse_spin_guided(n: int, spec: GuidedModeSpec) -> float:
     n = _check_quanta(n)
     _require_propagating(spec, "quantized transverse spin")
     con = spec.constants
-    k_z = float(np.real(spec.k_z))
+    k_z = float(spec.k_z.real)
     return 2.0 * n * con.hbar * con.c * k_z * spec.omega_c / spec.omega**2
 
 
@@ -347,8 +347,15 @@ def balance_integral(spec: GuidedModeSpec, b_amplitude_scale: float = 1.0) -> fl
 
 
 def _rel(actual, expected):
-    scale = max(abs(expected), 1e-300)
-    return abs(actual - expected) / scale
+    """``|actual - expected| / |expected|`` at every scale; NaN stays NaN.
+
+    Against ``expected == 0`` the gap is 0 for an exact zero and ``inf``
+    for anything else.
+    """
+    gap = abs(actual - expected)
+    if expected == 0.0:
+        return gap if gap == 0.0 or math.isnan(gap) else math.inf
+    return gap / abs(expected)
 
 
 def _over_root(numerator: float, radicand: float) -> float:
@@ -376,7 +383,7 @@ def evaluate(spec: GuidedModeSpec | SurfaceWaveSpec):
         spin_name, spin, theta = "S_perp", obs.S_perp, obs.theta
         v, rest, total = mass.v_g, mass.m0, mass.M0
         spin_law = quantized_transverse_spin_guided
-        ellipse = spec.omega_c / (abs(float(np.real(spec.k_z))) * c)
+        ellipse = spec.omega_c / (abs(float(spec.k_z.real)) * c)
         gaps = {"v_g_v_p": _rel(mass.v_g * mass.v_p, c**2)}
         if n is not None:
             gaps["W_gamma"] = _rel(mass.epsilon * n, _over_root(

@@ -79,7 +79,7 @@ def _cross(a, b) -> np.ndarray:
     b1``, ``a2 b0 - a0 b2``, ``a0 b1 - a1 b0``), so the bits are its bits,
     without its axis moves and dtype copies.
     """
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), np.result_type(a, b))
+    out = np.empty(np.broadcast(a, b).shape, np.result_type(a, b))
     for k, (i, j) in enumerate(((1, 2), (2, 0), (0, 1))):
         np.multiply(a[..., i], b[..., j], out=out[..., k])
         out[..., k] -= a[..., j] * b[..., i]
@@ -103,21 +103,21 @@ def spin_densities(field: FieldPhasor, omega: float,
     ``s_m = (eps0 c^2/2/omega) Im(B* x B)``.
     """
     pots = vector_potentials(field, omega, constants)
-    s_e = 0.5 * constants.eps0 * np.real(_cross(field.E, np.conj(pots.A)))
-    s_m = 0.5 * constants.eps0 * np.real(_cross(field.B, np.conj(pots.C)))
+    s_e = 0.5 * constants.eps0 * _cross(field.E, pots.A.conj()).real
+    s_m = 0.5 * constants.eps0 * _cross(field.B, pots.C.conj()).real
     return SpinDensityPair(s_e=s_e, s_m=s_m)
 
 
 def energy_density(field: FieldPhasor, constants: PhysicalConstants = SI) -> np.ndarray:
     """Cycle-averaged energy density ``(eps0/4)(|E|^2 + c^2 |B|^2)``."""
-    e2 = np.sum(np.abs(field.E) ** 2, axis=-1)
-    b2 = np.sum(np.abs(field.B) ** 2, axis=-1)
+    e2 = (np.abs(field.E) ** 2).sum(axis=-1)
+    b2 = (np.abs(field.B) ** 2).sum(axis=-1)
     return 0.25 * constants.eps0 * (e2 + constants.c**2 * b2)
 
 
 def momentum_density(field: FieldPhasor, constants: PhysicalConstants = SI) -> np.ndarray:
     """Cycle-averaged momentum density ``(eps0/2) Re(E x B*)``."""
-    return 0.5 * constants.eps0 * np.real(_cross(field.E, np.conj(field.B)))
+    return 0.5 * constants.eps0 * _cross(field.E, field.B.conj()).real
 
 
 # --------------------------------------------------------------------------
@@ -129,7 +129,7 @@ def _guided_scales(spec: GuidedModeSpec) -> tuple[float, float, float]:
     geom, con = spec.geometry, spec.constants
     kx = spec.index.m * math.pi / geom.a
     ky = spec.index.n * math.pi / geom.b
-    K = float(np.real(spec.k_z)) * spec.amplitude**2 / (
+    K = float(spec.k_z.real) * spec.amplitude**2 / (
         2.0 * con.mu0 * spec.omega_c**2 * spec.omega)
     return kx, ky, K
 

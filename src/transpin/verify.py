@@ -10,12 +10,15 @@ non-obvious reconciliations (see ``docs/derivations.md``): the TE_m0 doubling
 of the volume totals, the surface momentum-per-quantum form, and the
 circular-basis pole convention each have a dedicated check.
 
-The whole catalogue takes about 37 ms in process (best of 30) on one core of
-a 2-core Xeon host (Python 3.11, numpy 2.4.6) whose speed drifts by about
-1.5x.  The largest checks, at 2.2-4 ms each, are
-``guided-totals-vs-closed-forms`` (18 specs), ``algebra-helicity-eigensystem``
-(1050 directions), ``guided-ellipticity``, ``guided-quantization`` and
-``guided-mass-identities``: each ``evaluate`` integrates one quadrature plane.
+The whole catalogue takes about 25 ms in process (best of 30) on one core of
+a 2-core Xeon host (Python 3.11, numpy 2.4.6) at its quiet speed; the host's
+speed drifts by about 1.5x, and in its slow phases the same best of 30 reads
+35-41 ms.  The largest checks, at 1.3-2.6 ms each at the quiet speed, are
+``algebra-helicity-eigensystem`` (1050 directions),
+``guided-totals-vs-closed-forms`` (18 specs), ``algebra-closure``,
+``guided-ellipticity``, ``guided-quantization`` and
+``guided-mass-identities``: each guided ``evaluate`` integrates one
+quadrature plane.
 """
 
 from __future__ import annotations
@@ -272,7 +275,7 @@ def _check_guided_kg_stencil() -> CheckResult:
         worst_on = _worst(worst_on, klein_gordon_stencil_residual(spec),
                           dispersion_residual(spec))
     spec = _guided("TM", 1, 1, math.sqrt(2.0))
-    k_z = float(np.real(spec.k_z))
+    k_z = float(spec.k_z.real)
     off = dispersion_residual(spec, k_z=1.01 * k_z)
     expected_off = 2.01e-2 * (spec.constants.c * k_z / spec.omega) ** 2
     separated = off > 1e3 * max(worst_on, 1e-300) and _rel(off, expected_off) < 1e-2

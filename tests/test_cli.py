@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from transpin import SpinDensityPair, analytic_spin_guided, analytic_spin_surface, cli
+from transpin import (GuidedModeSpec, ModeFamily, ModeIndex, SpinDensityPair,
+                      WaveguideGeometry, analytic_spin_guided, analytic_spin_surface, cli)
 from transpin.cli import _KEYS, CSV_HEADER, RunConfig, main
 
 
@@ -332,6 +333,23 @@ def test_total_rest_mass_is_n_m0_far_above_cutoff(family, m, n, capsys):
         assert abs(mass["M0"] - 3 * mass["m0"]) <= 1e-12 * 3 * mass["m0"], ratio
 
 
+def test_residuals_of_totals_below_1e_300_are_relative(capsys):
+    # S_perp is 3.8e-307 here: its residual relates it to the closed form at its own scale
+    assert main(["report", "--family", "TE", "--m", "18", "--n", "12",
+                 "--a", "4.811346680869114e-59", "--b", "4.804755600670435e-59",
+                 "--length", "1.192642327073594e-65", "--omega-ratio", "86.63289805591015",
+                 "--amplitude", "5.148060492676069e-23"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    spec = GuidedModeSpec(WaveguideGeometry(**report["geometry"]),
+                          ModeIndex(ModeFamily.TE, 18, 12), report["omega"],
+                          report["amplitude"])
+    S_perp = report["observables"]["S_perp"]
+    assert S_perp < 1e-300
+    closed = spec.closed_forms()[2]
+    assert report["residuals"]["S_perp"] == abs(S_perp - closed) / closed
+    assert 1e-18 < report["residuals"]["S_perp"] < 1e-15
+
+
 def test_surface_report_fields(capsys):
     assert main(["report", "--kind", "surface", "--family", "TE",
                  "--eta", "2.0", "--phi-deg", "70", "--omega", "1.3e15",
@@ -428,6 +446,13 @@ _REPORT_KEYS = {
 def test_report_key_tree_is_pinned(kind, combine, capsys):
     assert main(["report", "--kind", kind, combine]) == 0
     assert _key_tree(json.loads(capsys.readouterr().out)) == _REPORT_KEYS[kind]
+
+
+def test_cached_spec_scalars_add_no_report_key(capsys):
+    # the spec keeps omega_c, k_z, kappa and closed_forms() in its instance dict
+    for kind in ("guided", "surface"):
+        assert main(["report", "--kind", kind, "--n-quanta", "2"]) == 0
+        assert _key_tree(json.loads(capsys.readouterr().out)) == _REPORT_KEYS[kind]
 
 
 def test_report_json_is_deterministic():

@@ -8,6 +8,9 @@ two implementations cross-validate each other.
 import cmath
 import inspect
 import math
+import struct
+import sys
+from dataclasses import asdict, fields, replace
 
 import mpmath
 import numpy as np
@@ -22,7 +25,7 @@ from transpin import (DomainError, GuidedModeSpec, InvalidModeError,
                       guided_field_phasor, maxwell_residuals,
                       surface_field_phasor)
 from transpin.constants import NATURAL, SI
-from transpin.modes import _fd_vector_derivatives, _stack3
+from transpin.modes import _fd_vector_derivatives, _ratio, _stack3
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +380,109 @@ def test_natural_units_cutoff():
     geometry = WaveguideGeometry(1.0, 0.5, 1.0)
     got = cutoff_frequency(ModeIndex(ModeFamily.TM, 1, 1), geometry, NATURAL)
     assert_allclose(got, math.pi * math.sqrt(1.0 + 4.0), rtol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# derived scalars: cached on the spec, bit-exact ratios
+
+
+def _mantissa_ratio(numerator, denominator):
+    # the mantissa-only body of modes._ratio, as it was before the plain fast path
+    top = [math.frexp(factor) for factor in numerator]
+    bottom = [math.frexp(factor) for factor in denominator]
+    value = math.prod(m for m, _ in top) / math.prod(m for m, _ in bottom)
+    try:
+        return math.ldexp(value, sum(e for _, e in top) - sum(e for _, e in bottom))
+    except OverflowError:
+        return math.copysign(math.inf, value)
+
+
+def _plain_stays_normal(numerator, denominator):
+    def partials(factors):
+        product, out = 1.0, []
+        for factor in factors:
+            product *= factor
+            out.append(product)
+        return out
+
+    def normal(value):
+        return sys.float_info.min <= abs(value) <= sys.float_info.max
+
+    top, bottom = partials(numerator), partials(denominator)
+    return all(map(normal, top + bottom)) and normal(top[-1] / bottom[-1])
+
+
+def test_ratio_keeps_the_bits_of_the_mantissa_path():
+    rng = np.random.default_rng(2024)
+    cases = [
+        ((1e-160, 1e-160, 1e200), (3.0,)),           # subnormal partial, back to normal
+        ((3e-170, 7e-150, 1e300, 1e10), (1.7,)),     # the same in the middle of a product
+        ((1e200, 1e200, 1e-250), (7.0,)),            # overflowing partial, normal result
+        ((2.0,), (1e200, 1e200, 1e-250)),            # the same in the denominator
+        ((1e-300,), (1e10,)),                        # subnormal quotient
+        ((5e-320, 3.0), (7.0,)),                     # subnormal factor
+        ((1e300, 1e10), (1e-5,)),                    # overflowing quotient
+        ((0.0, 3.0), (2.0,)), ((-0.0, 3.0), (2.0,)),  # zeros
+        ((-3.0, 7.0), (11.0, -13.0)), ((-3.0,), (11.0,)),
+    ]
+    for _ in range(20000):
+        decades = rng.uniform(-150.0, 150.0, rng.integers(1, 8)).tolist()
+        factors = [float(rng.uniform(1.0, 10.0)) * 10.0 ** d for d in decades]
+        factors = [-f if rng.random() < 0.2 else f for f in factors]
+        if rng.random() < 0.02:
+            factors[rng.integers(len(factors))] = 0.0
+        split = int(rng.integers(1, len(factors) + 1))
+        numerator, denominator = tuple(factors[:split]), tuple(factors[split:]) or (1.0,)
+        if 0.0 in denominator:
+            continue
+        cases.append((numerator, denominator))
+    fast = 0
+    for numerator, denominator in cases:
+        got, expected = _ratio(numerator, denominator), _mantissa_ratio(numerator, denominator)
+        assert struct.pack("<d", got) == struct.pack("<d", expected), (numerator, denominator)
+        fast += _plain_stays_normal(numerator, denominator)
+    # both paths are exercised
+    assert 2000 < fast < len(cases) - 2000
+
+
+def _guided_scalars(spec):
+    return spec.omega_c, spec.k_z, spec.closed_forms()
+
+
+def test_guided_spec_scalars_are_cached_and_fresh_after_replace(make_guided):
+    spec = make_guided("TE", 2, 1, ratio=1.7, amplitude=2.5, direction=-1)
+    assert spec.closed_forms() is spec.closed_forms()
+    assert spec.omega_c == cutoff_frequency(spec.index, spec.geometry, spec.constants)
+    assert spec.k_z == -axial_wavenumber(spec.omega, spec.omega_c, spec.constants)
+    for changes in ({"omega": 1.3 * spec.omega}, {"amplitude": 7.0}, {"direction": 1}):
+        moved = replace(spec, **changes)
+        built = GuidedModeSpec(**{**{f.name: getattr(spec, f.name) for f in fields(spec)},
+                                  **changes})
+        assert _guided_scalars(moved) == _guided_scalars(built)
+        assert _guided_scalars(moved) != _guided_scalars(spec)
+
+
+def test_surface_spec_scalars_are_cached_and_fresh_after_replace(make_surface):
+    spec = make_surface("TE", eta=1.8, phi_deg=65.0, amplitude=3.0)
+    s = spec.eta * math.sin(spec.phi)
+    assert spec.kappa == (spec.omega / SI.c) * math.sqrt(s * s - 1.0)
+    assert spec.k_z == (spec.omega / SI.c) * spec.eta * math.sin(spec.phi)
+    assert spec.closed_forms() is spec.closed_forms()
+    for changes in ({"omega": 2.0e15}, {"amplitude": 0.5}):
+        moved = replace(spec, **changes)
+        built = make_surface("TE", eta=1.8, phi_deg=65.0,
+                             **{"amplitude": 3.0, **changes})
+        assert (moved.kappa, moved.k_z, moved.closed_forms()) == (
+            built.kappa, built.k_z, built.closed_forms())
+        assert moved.closed_forms() != spec.closed_forms()
+
+
+def test_cached_scalars_leave_equality_hash_and_fields_alone(make_guided, make_surface):
+    for make in (lambda: make_guided("TM", 2, 1, ratio=1.4),
+                 lambda: make_surface("TM", eta=2.0, phi_deg=70.0)):
+        warm, cold = make(), make()
+        warm.closed_forms()
+        assert "_closed_forms" in vars(warm) and "_closed_forms" not in vars(cold)
+        assert warm == cold and hash(warm) == hash(cold)
+        assert list(asdict(warm)) == [f.name for f in fields(warm)]
+        assert replace(warm) == cold

@@ -479,6 +479,21 @@ def test_surface_totals_subluminal(make_surface):
 
 
 # ---------------------------------------------------------------------------
+# relative gaps
+
+
+def test_relative_gap_has_no_floor():
+    assert math.isclose(observables._rel(1.01e-305, 1e-305), 1e-2, rel_tol=1e-12)
+    assert observables._rel(2.0e-320, 1.0e-320) == 1.0
+    assert observables._rel(0.0, 0.0) == 0.0
+    assert observables._rel(1.0, 0.0) == math.inf
+    assert observables._rel(-1e-300, 0.0) == math.inf
+    assert math.isnan(observables._rel(math.nan, 1.0))
+    assert math.isnan(observables._rel(1.0, math.nan))
+    assert math.isnan(observables._rel(math.nan, 0.0))
+
+
+# ---------------------------------------------------------------------------
 # API surface
 
 # The parameter names of every public quadrature-layer callable.  A new knob
