@@ -37,6 +37,7 @@ import json
 import math
 import os
 import sys
+import weakref
 from dataclasses import asdict, dataclass, replace
 from typing import Any, Callable, Iterator, Mapping, Sequence, TextIO
 
@@ -444,20 +445,38 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
                                 help=help_text)
 
 
+class _HelpFormatter(argparse.HelpFormatter):
+    """argparse's formatter, freed as soon as it is dropped.
+
+    argparse's root section refers back to its formatter, so every formatter
+    would wait for the cyclic collector, and building the parser makes one
+    per flag (``add_argument`` checks the metavar with it).  The root
+    section holds the formatter weakly here.
+    """
+
+    def __init__(self, prog: str, **kwargs: Any) -> None:
+        super().__init__(prog, **kwargs)
+        self._root_section.formatter = weakref.proxy(self)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="transpin",
+        prog="transpin", formatter_class=_HelpFormatter,
         description="Transverse spin, momentum and effective-mass observables "
                     "of guided and evanescent electromagnetic modes.")
-    sub = parser.add_subparsers(dest="command", required=True)
+    # a given prog spares add_subparsers the usage formatter it would keep
+    sub = parser.add_subparsers(dest="command", required=True, prog="transpin")
     spinmap = sub.add_parser(
-        "spinmap", help="export a CSV grid of the time-averaged spin density")
+        "spinmap", formatter_class=_HelpFormatter,
+        help="export a CSV grid of the time-averaged spin density")
     _add_config_flags(spinmap)
     report = sub.add_parser(
-        "report", help="emit a JSON report of integrated observables")
+        "report", formatter_class=_HelpFormatter,
+        help="emit a JSON report of integrated observables")
     _add_config_flags(report)
     verify = sub.add_parser(
-        "verify", help="run the named invariant catalogue")
+        "verify", formatter_class=_HelpFormatter,
+        help="run the named invariant catalogue")
     verify.add_argument("--filter", default=None,
                         help="run only checks whose name contains this substring")
     verify.add_argument("--inject-fault", action="store_true",
@@ -470,9 +489,26 @@ def _flags_from_args(args: argparse.Namespace) -> dict[str, Any]:
     return {key: getattr(args, key.replace("-", "_")) for key in _KEYS}
 
 
+def _unlink(parser: argparse.ArgumentParser) -> None:
+    """Break the action-to-group links of a parser and its subparsers.
+
+    argparse links each action back to the group that holds it, so a parser
+    is a web of reference cycles.  Unlinked, a parser that has done its
+    parsing is freed by reference counting when ``main`` drops it.
+    """
+    for action in parser._actions:
+        action.container = None
+        if isinstance(action, argparse._SubParsersAction):
+            for subparser in action.choices.values():
+                _unlink(subparser)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
+    # each call builds its own parser and leaves none of it to the cyclic
+    # collector, whose full passes a caller calling main in a loop would pay
     parser = _build_parser()
     args = parser.parse_args(argv)
+    _unlink(parser)
     try:
         if args.command == "verify":
             code = cmd_verify(args.filter, args.inject_fault)

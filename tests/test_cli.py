@@ -1,6 +1,8 @@
 """Command-line behavior: CSV/JSON shape, determinism, exit codes."""
 
+import argparse
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -862,6 +864,46 @@ def test_verify_registry_keys_match_stamped_names():
     from transpin.verify import check_names, run_checks
 
     assert [r.name for r in run_checks()] == check_names()
+
+
+# ---------------------------------------------------------------------------
+# argument parsing
+
+
+@pytest.mark.parametrize("args", [
+    ["report", "--family", "TM", "--m", "1", "--n", "1"],
+    ["spinmap", "--nx", "3", "--ny", "2"],
+    ["verify", "--filter", "zzz-none"],
+])
+def test_main_leaves_no_parser_to_the_cyclic_collector(args, capsys):
+    # main builds a parser on every call; a caller that calls it in a loop
+    # would pay for any of it left as cyclic garbage in full collections
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        main(args)
+        gc.collect()
+        cyclic = [type(o).__name__ for o in gc.garbage
+                  if isinstance(o, (argparse.ArgumentParser, argparse.Action,
+                                    argparse.HelpFormatter))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if was_enabled:
+            gc.enable()
+    assert cyclic == []
+
+
+@pytest.mark.parametrize("command", ["spinmap", "report", "verify"])
+def test_subcommand_help_names_its_program(command, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, "--help"])
+    assert exit_info.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: transpin {command} [-h]")
+    assert "show this help message and exit" in out
 
 
 # ---------------------------------------------------------------------------
