@@ -64,6 +64,9 @@ __all__ = [
 _QUANTA_SNAP = 1e-6
 #: largest max(m, n) the guided quadrature plane is built for
 _MAX_MODE_INDEX = 200
+#: most nodes one phasor call of the guided plane evaluates, so that a row
+#: block's complex temporaries (64 KB each) stay in cache
+_BLOCK_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -142,21 +145,40 @@ def _transverse_rules(spec: GuidedModeSpec):
 def _guided_plane(spec: GuidedModeSpec):
     """The cell weight and field bilinears of one guided quadrature plane.
 
-    Evaluates the phasor once on the grid of :func:`_transverse_rules` in
-    the plane ``z = 0`` and returns ``(cell, e2, b2, s_z)``: the node weight
-    ``hx * hy``, ``|E_i|^2`` and ``|B_i|^2`` with shape ``(nx, ny, 3)``, and
-    ``Re(E x B*)_z`` with shape ``(nx, ny)``, formed as :func:`numpy.cross`
-    forms that component.  A propagating mode carries ``exp(i k_z z)`` with
-    real ``k_z``, so every bilinear density is the same on each plane, and a
-    cell integral is ``L`` times the plane integral ``cell * f.sum()``.
+    Evaluates the phasor once per node of the grid of
+    :func:`_transverse_rules` in the plane ``z = 0``, in row blocks of at
+    most ``_BLOCK_NODES`` nodes, and returns ``(cell, e2, b2, s_z)``: the
+    node weight ``hx * hy``, ``|E_i|^2`` and ``|B_i|^2`` with shape
+    ``(nx, ny, 3)``, and ``Re(E x B*)_z`` with shape ``(nx, ny)``, formed as
+    :func:`numpy.cross` forms that component.  Every bilinear is formed
+    node by node, so a block holds the bits a whole-plane phasor gives.  A
+    propagating mode carries ``exp(i k_z z)`` with real ``k_z``, so every
+    bilinear density is the same on each plane, and a cell integral is ``L``
+    times the plane integral ``cell * f.sum()``.
     """
     (xs, hx), (ys, hy) = _transverse_rules(spec)
-    field = guided_field_phasor(spec, (xs[:, None], ys[None, :], 0.0))
-    E, B = field.E, field.B
-    # an overflow shows as inf or nan in a total, which the range checks name
-    with np.errstate(over="ignore", invalid="ignore"):
-        s_z = (E[..., 0] * B[..., 1].conj() - E[..., 1] * B[..., 0].conj()).real
-        return hx * hy, np.abs(E) ** 2, np.abs(B) ** 2, s_z
+    e2, b2 = np.empty((xs.size, ys.size, 3)), np.empty((xs.size, ys.size, 3))
+    s_z = np.empty((xs.size, ys.size))
+    rows = max(1, _BLOCK_NODES // ys.size)
+    for start in range(0, xs.size, rows):
+        block = slice(start, start + rows)
+        field = guided_field_phasor(spec, (xs[block, None], ys[None, :], 0.0))
+        E, B = field.E, field.B
+        # an overflow shows as inf or nan in a total, which the range checks name
+        with np.errstate(over="ignore", invalid="ignore"):
+            s_z[block] = (E[..., 0] * B[..., 1].conj() - E[..., 1] * B[..., 0].conj()).real
+            e2[block], b2[block] = np.abs(E) ** 2, np.abs(B) ** 2
+        del field, E, B  # freed before the next block's fields are built
+    return hx * hy, e2, b2, s_z
+
+
+def _sum3(v2):
+    """``v2[..., 0] + v2[..., 1] + v2[..., 2]``, the bits of ``v2.sum(axis=-1)``.
+
+    numpy reduces a length-3 last axis left to right too, but through a
+    strided loop about ten times slower than these two additions.
+    """
+    return (v2[..., 0] + v2[..., 1]) + v2[..., 2]
 
 
 def integrate_guided(spec: GuidedModeSpec) -> GuidedObservables:
@@ -164,7 +186,10 @@ def integrate_guided(spec: GuidedModeSpec) -> GuidedObservables:
 
     The rule is ``max(2(m+n)+2, 2*max(m, n)+1)`` midpoint nodes per
     transverse axis on the plane ``z = 0``, times the length ``L`` (the
-    densities do not depend on z), exact to rounding.  ``theta`` and
+    densities do not depend on z), exact to rounding.  The phasor runs in
+    row blocks of that plane, so the plane costs the 56 B a node of its
+    intensities plus one block, and each total is one sum over the whole
+    plane.  ``theta`` and
     ``ellipticity = h_long/h_perp = tan(theta)`` are read from the mean
     squares of the field that carries the family's longitudinal component:
     E for TM, where ``e = omega_c/(|k_z| c)`` exactly, and B for TE, whose
@@ -192,7 +217,7 @@ def integrate_guided(spec: GuidedModeSpec) -> GuidedObservables:
 
     cell, e2, b2, s_z = _guided_plane(spec)
     with np.errstate(over="ignore", invalid="ignore"):
-        w_den = 0.25 * con.eps0 * (e2.sum(axis=-1) + con.c**2 * b2.sum(axis=-1))
+        w_den = 0.25 * con.eps0 * (_sum3(e2) + con.c**2 * _sum3(b2))
         W = length * float(cell * w_den.sum())
         P_z = length * float(cell * (0.5 * con.eps0 * s_z).sum())
         # before the intensities, which overflow whenever W does
@@ -337,8 +362,8 @@ def balance_integral(spec: GuidedModeSpec, b_amplitude_scale: float = 1.0) -> fl
     _require_propagating(spec, "balance integral")
     con = spec.constants
     cell, e2, b2, _ = _guided_plane(spec)
-    b2 = np.sum(b2, axis=-1) * b_amplitude_scale**2
-    integrand = 0.25 * con.eps0 * (np.sum(e2, axis=-1) - con.c**2 * b2)
+    b2 = _sum3(b2) * b_amplitude_scale**2
+    integrand = 0.25 * con.eps0 * (_sum3(e2) - con.c**2 * b2)
     return spec.geometry.length * float(cell * integrand.sum())
 
 

@@ -8,11 +8,14 @@ import pytest
 import scipy.integrate
 from numpy.testing import assert_allclose
 
-from transpin import (UnsupportedModeError, amplitude_for_quanta,
-                      dispersion_residual, energy_density,
-                      four_momentum_split, guided_mass_report,
-                      integrate_guided, klein_gordon_stencil_residual,
-                      minkowski_dot, momentum_density, phase_split_residual,
+from transpin import (GuidedModeSpec, ModeFamily, ModeIndex,
+                      UnsupportedModeError, WaveguideGeometry,
+                      amplitude_for_quanta, cutoff_frequency,
+                      dispersion_residual, effective_mass, energy_density,
+                      four_momentum_split, guided_field_phasor,
+                      guided_mass_report, integrate_guided,
+                      klein_gordon_stencil_residual, minkowski_dot,
+                      momentum_density, phase_split_residual,
                       surface_field_phasor, surface_mass_report,
                       surface_rest_mass_density)
 from transpin.constants import SI
@@ -123,6 +126,55 @@ def test_stencil_residual_holds_at_any_scale(make_guided, field, value):
     else:
         spec = replace(spec, omega=value)
     assert klein_gordon_stencil_residual(spec) <= 1e-9
+
+
+def _ten_scalar_stencil_samples(spec):
+    """The stencil's longitudinal samples, one scalar phasor call each.
+
+    Five ``t`` steps at ``z0``, then five ``z`` steps at ``t = 0``, at the
+    points :func:`klein_gordon_stencil_residual` documents.
+    """
+    geom, idx = spec.geometry, spec.index
+    tm = idx.family is ModeFamily.TM
+    x0, y0 = (geom.a / (2.0 * idx.m), geom.b / (2.0 * idx.n)) if tm else (0.0, 0.0)
+    wavelength = 2.0 * math.pi / abs(float(spec.k_z.real))
+    z0, dz = 0.1 * wavelength, 1e-3 * wavelength
+    dt = 1e-3 * (2.0 * math.pi / spec.omega)
+    steps = (-2, -1, 0, 1, 2)
+    points = [(z0, j * dt) for j in steps] + [(z0 + j * dz, 0.0) for j in steps]
+    fields = [guided_field_phasor(spec, (x0, y0, z), t) for z, t in points]
+    return np.array([complex((f.E if tm else f.B)[..., 2]) for f in fields])
+
+
+def _seeded_guided_specs(rng, count):
+    """Both families and directions, ``max(m, n) <= 60``, a, b and L over three decades."""
+    for _ in range(count):
+        family = ModeFamily(rng.choice(["TE", "TM"]))
+        low = 1 if family is ModeFamily.TM else 0
+        m, n = int(rng.integers(1, 61)), int(rng.integers(low, 61))
+        a = 10.0 ** rng.uniform(-3.0, 0.0)
+        geometry = WaveguideGeometry(a=a, b=a * 10.0 ** rng.uniform(-3.0, 0.0),
+                                     length=10.0 ** rng.uniform(-3.0, 0.0))
+        index = ModeIndex(family, m, n)
+        omega = rng.uniform(1.01, 4.0) * cutoff_frequency(index, geometry, SI)
+        yield GuidedModeSpec(geometry, index, omega, 10.0 ** rng.uniform(-3.0, 3.0),
+                             int(rng.choice([1, -1])), SI)
+
+
+def test_stencil_equals_ten_scalar_phasor_calls(monkeypatch):
+    phasor, fields = effective_mass.guided_field_phasor, []
+
+    def spy(spec, point, t=0.0):
+        fields.append(phasor(spec, point, t))
+        return fields[-1]
+
+    monkeypatch.setattr(effective_mass, "guided_field_phasor", spy)
+    for spec in _seeded_guided_specs(np.random.default_rng(23), 2000):
+        fields.clear()
+        klein_gordon_stencil_residual(spec)
+        (field,) = fields
+        vec = field.E if spec.index.family is ModeFamily.TM else field.B
+        assert vec[..., 2].tobytes() == _ten_scalar_stencil_samples(spec).tobytes()
 
 
 def test_wave_equation_stencil_requires_propagation(make_guided):

@@ -390,18 +390,27 @@ def test_guided_grid_is_bounded(make_guided, family, m, n):
 
 @pytest.mark.parametrize("quadrature", [integrate_guided, balance_integral])
 def test_each_guided_quadrature_evaluates_one_plane(make_guided, monkeypatch, quadrature):
-    phasor = observables.guided_field_phasor
-    grids, crosses = [], []
+    phasor, grids, crosses = observables.guided_field_phasor, [], []
 
     def spy(spec, point, t=0.0):
-        grids.append(np.broadcast(*point).shape)
         assert np.all(np.asarray(point[2]) == 0.0)
+        grids.append(np.broadcast_arrays(point[0], point[1]))
         return phasor(spec, point, t)
 
     monkeypatch.setattr(observables, "guided_field_phasor", spy)
     monkeypatch.setattr(observables, "momentum_density", crosses.append)
     quadrature(make_guided("TE", 3, 2))
-    assert grids == [(12, 12)]  # max(2(m+n)+2, 2*max(m, n)+1) nodes per axis
+    # max(2(m+n)+2, 2*max(m, n)+1) nodes per axis, within one block
+    assert [x.shape for x, _ in grids] == [(12, 12)]
+    for m, n in [(48, 48), (200, 3)]:  # 194 and 408 nodes a side
+        spec, grids[:] = make_guided("TE", m, n), []
+        quadrature(spec)
+        (xs, _), (ys, _) = observables._transverse_rules(spec)
+        # the row blocks tile the rows of the one plane once
+        assert len(grids) > 1
+        assert all(x.size <= observables._BLOCK_NODES and (y[0] == ys).all()
+                   for x, y in grids)
+        assert np.concatenate([x[:, 0] for x, _ in grids]).tobytes() == xs.tobytes()
     assert crosses == []  # Re(E x B*)_z is formed from its two products
 
 
@@ -439,7 +448,9 @@ def _reference_plane(spec, b_amplitude_scale=1.0):
 
 @pytest.mark.parametrize("family, m, n, direction", [
     ("TM", 1, 1, 1), ("TM", 3, 7, 1), ("TE", 1, 0, 1), ("TE", 2, 1, 1),
-    ("TE", 48, 5, 1), ("TM", 3, 7, -1)])
+    ("TE", 48, 5, 1), ("TM", 3, 7, -1),
+    # several row blocks; TE(200, 3) ends on a partial one
+    ("TE", 48, 48, 1), ("TM", 60, 7, -1), ("TE", 200, 3, 1)])
 def test_one_plane_pass_keeps_the_bits_of_the_density_functions(make_guided, family, m, n,
                                                                  direction):
     spec = make_guided(family, m, n, ratio=1.3, amplitude=0.37, direction=direction)
@@ -468,8 +479,9 @@ def test_guided_quadrature_memory_follows_one_plane(make_guided):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # E and B on one plane hold six complex128 components: 96 B per node
-    assert peak <= 2 * nodes**2 * 96
+    # the plane's |E_i|^2, |B_i|^2 and Re(E x B*)_z take 56 B a node; one row
+    # block's E, B and their complex temporaries stay under 192 B a block node
+    assert peak <= nodes**2 * 56 + observables._BLOCK_NODES * 192
 
 
 def test_surface_totals_subluminal(make_surface):
