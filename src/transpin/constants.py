@@ -52,17 +52,9 @@ class PhysicalConstants:
         if residual > 1e-15:
             raise ValueError(f"c^2*eps0*mu0 deviates from 1 by {residual:.3e}")
 
-    @classmethod
-    def si(cls) -> "PhysicalConstants":
-        """CODATA 2022 SI values (``mu0`` derived, see module docstring)."""
-        return cls(c=299792458.0, eps0=8.8541878188e-12,
-                   hbar=1.0545718176461565e-34)
 
-    @classmethod
-    def natural(cls) -> "PhysicalConstants":
-        """Natural units: ``c = eps0 = hbar = 1`` (hence ``mu0 = 1``)."""
-        return cls(c=1.0, eps0=1.0, hbar=1.0)
-
-
-SI = PhysicalConstants.si()
-NATURAL = PhysicalConstants.natural()
+#: CODATA 2022 SI values (``mu0`` derived, see module docstring)
+SI = PhysicalConstants(c=299792458.0, eps0=8.8541878188e-12,
+                       hbar=1.0545718176461565e-34)
+#: natural units: ``c = eps0 = hbar = 1`` (hence ``mu0 = 1``)
+NATURAL = PhysicalConstants(c=1.0, eps0=1.0, hbar=1.0)

@@ -307,7 +307,7 @@ class SurfaceWaveSpec:
             raise DomainError(f"phi must lie in (0, pi/2), got {self.phi!r}")
         if self.eta * math.sin(self.phi) <= 1.0:
             raise DomainError(
-                f"eta*sin(phi) = {self.eta * math.sin(self.phi):.6f} <= 1: "
+                f"eta*sin(phi) = {self.eta * math.sin(self.phi)!r} <= 1: "
                 "no total internal reflection, no evanescent tail")
         if not (self.omega > 0.0):
             raise ValueError(f"omega must be positive, got {self.omega!r}")

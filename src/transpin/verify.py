@@ -10,11 +10,7 @@ non-obvious reconciliations (see ``docs/derivations.md``): the TE_m0 doubling
 of the volume totals, the surface momentum-per-quantum form, and the
 circular-basis pole convention each have a dedicated check.
 
-The whole catalogue takes about 25 ms in process (best of 30) on one core of
-a 2-core Xeon host (Python 3.11, numpy 2.4.6) at its quiet speed; the host's
-speed drifts by about 1.5x, and in its slow phases the same best of 30 reads
-35-41 ms.  The largest checks, at 1.3-2.6 ms each at the quiet speed, are
-``algebra-helicity-eigensystem`` (1050 directions),
+The largest checks are ``algebra-helicity-eigensystem`` (1050 directions),
 ``guided-totals-vs-closed-forms`` (18 specs), ``algebra-closure``,
 ``guided-ellipticity``, ``guided-quantization`` and
 ``guided-mass-identities``: each guided ``evaluate`` integrates one

@@ -111,6 +111,13 @@ def test_surface_spec_requires_total_internal_reflection():
     with pytest.raises(DomainError):
         SurfaceWaveSpec(ModeFamily.TE, eta=2.0, phi=math.asin(0.499),
                         omega=1e15, amplitude=1.0, area=1.0)
+    # a product just below 1 is shown as itself, not rounded up to 1.000000
+    eta, phi = 1.0000000001, math.radians(89.99)
+    with pytest.raises(DomainError) as err:
+        SurfaceWaveSpec(ModeFamily.TM, eta=eta, phi=phi,
+                        omega=1e15, amplitude=1.0, area=1.0)
+    shown = float(str(err.value).split(" = ")[1].split(" <= ")[0])
+    assert shown == eta * math.sin(phi) < 1.0
 
 
 def test_guided_field_rejects_points_outside_cross_section(make_guided):

@@ -471,17 +471,20 @@ def test_guided_totals_are_linear_in_length_bit_for_bit(make_guided):
 
 
 def test_guided_quadrature_memory_follows_one_plane(make_guided):
-    spec = make_guided("TE", 48, 5, ratio=1.5)
-    nodes = 2 * (48 + 5) + 2
-    tracemalloc.start()
-    try:
-        integrate_guided(spec)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    # the plane's |E_i|^2, |B_i|^2 and Re(E x B*)_z take 56 B a node; one row
-    # block's E, B and their complex temporaries stay under 192 B a block node
-    assert peak <= nodes**2 * 56 + observables._BLOCK_NODES * 192
+    # TE(48,5) has 108^2 nodes in 3 row blocks, TE(48,48) 194^2 nodes in 10
+    for m, n in ((48, 5), (48, 48)):
+        spec = make_guided("TE", m, n, ratio=1.5)
+        nodes = 2 * (m + n) + 2
+        tracemalloc.start()
+        try:
+            integrate_guided(spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the plane's transverse and longitudinal |E|^2 and |B|^2 and
+        # Re(E x B*)_z take 40 B a node; one row block's E, B and their
+        # complex temporaries stay under 192 B a block node
+        assert peak <= nodes**2 * 40 + observables._BLOCK_NODES * 192, (m, n)
 
 
 def test_surface_totals_subluminal(make_surface):
