@@ -15,6 +15,7 @@ from transpin import (GuidedMassReport, GuidedModeSpec, GuidedObservables,
                       amplitude_for_quanta, analytic_spin_surface, cli,
                       energy_density, evaluate, spin_densities,
                       time_average_oracle)
+from transpin import verify
 from transpin.spin import (instantaneous_energy_sampler,
                            instantaneous_spin_sampler)
 from transpin.verify import check_names, run_checks
@@ -102,6 +103,32 @@ def test_batched_oracle_gap_is_the_worst_point_gap(make_guided, make_surface):
         assert _oracle_residual(spec, tuple(points.T)) == max(gaps)
         for p, gap in zip(points, gaps):
             assert _oracle_residual(spec, tuple(p[:, None])) == gap
+
+
+# ---------------------------------------------------------------------------
+# a check whose control fails, fails, and keeps its measured value
+
+
+def _positional_only(function):
+    """``function`` called without its keyword arguments."""
+    return lambda *args, **kwargs: function(*args)
+
+
+@pytest.mark.parametrize("name, attribute, disable, detail", [
+    # the 1 % fault on B is never injected, so the control sees a balance
+    ("guided-balance", "balance_integral", _positional_only, "FAULT CONTROL FAILED"),
+    # the off-branch residual is the on-branch one, so nothing is separated
+    ("guided-klein-gordon", "dispersion_residual", _positional_only, None),
+    ("algebra-closure", "generator_closure_rank", lambda rank: lambda: 5, None),
+])
+def test_a_failed_control_fails_its_check_and_keeps_measured(name, attribute, disable,
+                                                             detail, monkeypatch):
+    (held,) = run_checks(name)
+    monkeypatch.setattr(verify, attribute, disable(getattr(verify, attribute)))
+    (failed,) = run_checks(name)
+    assert held.passed and not failed.passed
+    assert repr(failed.measured) == repr(held.measured)
+    assert failed.detail == (held.detail if detail is None else detail)
 
 
 # ---------------------------------------------------------------------------
