@@ -10,6 +10,13 @@ non-obvious reconciliations (see ``docs/derivations.md``): the TE_m0 doubling
 of the volume totals, the surface momentum-per-quantum form, and the
 circular-basis pole convention each have a dedicated check.
 
+Each check is declared once, as a body under ``@_check(name, tolerance,
+detail)``, and the checks run in source order.  The body returns
+``measured``; it returns ``(measured, ok)`` when the check has a control
+beyond the tolerance, and ``(measured, ok, detail)`` when it builds its
+detail at run time.  The one pass rule is ``measured <= tolerance and ok``,
+so a NaN ``measured`` fails.
+
 The largest checks are ``algebra-helicity-eigensystem`` (1050 directions),
 ``guided-totals-vs-closed-forms`` (18 specs), ``algebra-closure``,
 ``guided-ellipticity``, ``guided-quantization`` and
@@ -20,6 +27,7 @@ quadrature plane.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,6 +62,24 @@ class CheckResult:
     measured: float
     tolerance: float
     detail: str = ""
+
+
+#: every check by name, in source order, which is the run order
+_CHECKS: dict[str, Callable[[], CheckResult]] = {}
+
+
+def _check(name: str, tolerance: float, detail: str = ""):
+    """Register the decorated body as the check ``name`` (see the module docstring)."""
+    def register(body):
+        def run() -> CheckResult:
+            out = body()
+            if not isinstance(out, tuple):
+                out = (out, True)
+            measured, ok, text = (*out, detail)[:3]
+            return CheckResult(name, measured <= tolerance and ok, measured, tolerance, text)
+        _CHECKS[name] = run
+        return body
+    return register
 
 
 _GEOMETRY = WaveguideGeometry(a=0.0229, b=0.0102, length=0.37)
@@ -101,17 +127,55 @@ def _quantized(spec, n_quanta: int):
 
 
 # --------------------------------------------------------------------------
+# field checks
+
+
+@_check("fields-maxwell-residuals", 1e-8, "FD divergence and Faraday residuals, all families")
+def _check_fields_maxwell():
+    worst = 0.0
+    for family, m, n in _MODES:
+        spec = _guided(family, m, n, 1.8)
+        res = maxwell_residuals(spec, (0.3 * _GEOMETRY.a, 0.4 * _GEOMETRY.b, 0.05))
+        worst = _worst(worst, *res.values())
+    for family in ("TM", "TE"):
+        spec = _surface(family=family)
+        res = maxwell_residuals(spec, (0.5 / spec.kappa, 0.0, 1e-7))
+        worst = _worst(worst, *res.values())
+    return worst
+
+
+@_check("fields-boundary-conditions", 1e-15, "tangential E and normal B vanish on all four walls")
+def _check_fields_boundary():
+    worst = 0.0
+    a, b = _GEOMETRY.a, _GEOMETRY.b
+    walls = [((0.0, b / 3, 0.1), (1, 2), 0), ((a, b / 3, 0.1), (1, 2), 0),
+             ((a / 3, 0.0, 0.1), (0, 2), 1), ((a / 3, b, 0.1), (0, 2), 1)]
+    # the reference point first, then each wall's point, in one phasor call
+    points = np.array([(a / 2, b / 2, 0.0)] + [point for point, _, _ in walls])
+    for family, m, n in _MODES:
+        spec = _guided(family, m, n, 1.5)
+        field = guided_field_phasor(spec, tuple(points.T))
+        ref = float(np.max(np.abs(field.E[0]))) + spec.amplitude
+        for E, B, (_, tangential, normal_b) in zip(field.E[1:], field.B[1:], walls):
+            for comp in tangential:
+                worst = _worst(worst, float(np.abs(E[comp])) / ref)
+            worst = _worst(worst, spec.constants.c * float(np.abs(B[normal_b])) / ref)
+    return worst
+
+
+# --------------------------------------------------------------------------
 # guided checks
 
 
-def _check_guided_totals() -> CheckResult:
-    worst = _gaps((_guided(family, m, n, ratio) for family, m, n in _MODES
-                   for ratio in _RATIOS), "W", "P_z", "S_perp")
-    return CheckResult("guided-totals-vs-closed-forms", worst <= 1e-9, worst,
-                       1e-9, "quadrature W, P_z, S_perp over 6 modes x 3 ratios")
+@_check("guided-totals-vs-closed-forms", 1e-9, "quadrature W, P_z, S_perp over 6 modes x 3 ratios")
+def _check_guided_totals():
+    return _gaps((_guided(family, m, n, ratio) for family, m, n in _MODES
+                  for ratio in _RATIOS), "W", "P_z", "S_perp")
 
 
-def _check_guided_quantization() -> CheckResult:
+@_check("guided-quantization", 1e-9,
+        "S_perp = 2 n hbar c k_z omega_c/omega^2; = n hbar at sqrt(2) omega_c")
+def _check_guided_quantization():
     worst = _gaps((_quantized(_guided("TM", 1, 1, ratio), n_quanta)
                    for n_quanta in (1, 2, 5) for ratio in _RATIOS),
                   "S_quantized", "W_quanta", "n_quanta")
@@ -119,11 +183,11 @@ def _check_guided_quantization() -> CheckResult:
     spec = _quantized(_guided("TE", 1, 0, math.sqrt(2.0)), 3)
     worst = _worst(worst, _rel(integrate_guided(spec).S_perp,
                                3 * spec.constants.hbar))
-    return CheckResult("guided-quantization", worst <= 1e-9, worst, 1e-9,
-                       "S_perp = 2 n hbar c k_z omega_c/omega^2; = n hbar at sqrt(2) omega_c")
+    return worst
 
 
-def _check_guided_balance() -> CheckResult:
+@_check("guided-balance", 1e-12)
+def _check_guided_balance():
     worst = 0.0
     for family, m, n in _MODES:
         spec = _guided(family, m, n, math.sqrt(2.0))
@@ -132,13 +196,13 @@ def _check_guided_balance() -> CheckResult:
     spec = _guided("TE", 1, 0, 2.0)
     faulted = abs(balance_integral(spec, b_amplitude_scale=1.01))
     control_ok = faulted / spec.closed_forms()[0] > 1e-3
-    return CheckResult("guided-balance", worst <= 1e-12 and control_ok,
-                       worst, 1e-12,
-                       "electric = magnetic energy; fault injection detected"
-                       if control_ok else "FAULT CONTROL FAILED")
+    return worst, control_ok, ("electric = magnetic energy; fault injection detected"
+                               if control_ok else "FAULT CONTROL FAILED")
 
 
-def _check_guided_pipeline_spin() -> CheckResult:
+@_check("guided-pipeline-vs-analytic-spin", 1e-12,
+        "bilinear pipeline vs closed forms, 16 points/mode")
+def _check_guided_pipeline_spin():
     worst = 0.0
     rng = np.random.default_rng(7)
     for family, m, n in _MODES:
@@ -152,8 +216,7 @@ def _check_guided_pipeline_spin() -> CheckResult:
         worst = _worst(worst,
                        float(np.max(np.abs(pipeline.s_e - closed.s_e))) / scale,
                        float(np.max(np.abs(pipeline.s_m - closed.s_m))) / scale)
-    return CheckResult("guided-pipeline-vs-analytic-spin", worst <= 1e-12,
-                       worst, 1e-12, "bilinear pipeline vs closed forms, 16 points/mode")
+    return worst
 
 
 def _oracle_residual(spec, point, energy: bool = False) -> float:
@@ -177,7 +240,8 @@ def _oracle_residual(spec, point, energy: bool = False) -> float:
     return float(np.max(gaps))
 
 
-def _check_guided_oracle() -> CheckResult:
+@_check("guided-time-average-oracle", 1e-10, "64-sample brute-force averages vs phasor bilinears")
+def _check_guided_oracle():
     worst = 0.0
     rng = np.random.default_rng(11)
     for family, m, n in [("TM", 1, 1), ("TE", 1, 0), ("TE", 2, 1)]:
@@ -185,11 +249,11 @@ def _check_guided_oracle() -> CheckResult:
         # filled row by row: each point's x, y, z are consecutive draws
         points = rng.uniform(0.0, (_GEOMETRY.a, _GEOMETRY.b, _GEOMETRY.length), (8, 3))
         worst = _worst(worst, _oracle_residual(spec, tuple(points.T), energy=True))
-    return CheckResult("guided-time-average-oracle", worst <= 1e-10, worst,
-                       1e-10, "64-sample brute-force averages vs phasor bilinears")
+    return worst
 
 
-def _check_guided_structural_zeros() -> CheckResult:
+@_check("guided-structural-zeros", 1e-15, "s_z, idle branch, and evanescent spins vanish")
+def _check_guided_structural_zeros():
     worst = 0.0
     rng = np.random.default_rng(13)
     for family, m, n in _MODES:
@@ -210,11 +274,11 @@ def _check_guided_structural_zeros() -> CheckResult:
     pair = spin_densities(field, spec.omega, spec.constants)
     scale = float(np.max(energy_density(field, spec.constants))) / spec.omega
     worst = _worst(worst, float(np.max(np.abs(pair.s_e) + np.abs(pair.s_m))) / scale)
-    return CheckResult("guided-structural-zeros", worst <= 1e-15, worst, 1e-15,
-                       "s_z, idle branch, and evanescent spins vanish")
+    return worst
 
 
-def _check_spin_momentum_locking() -> CheckResult:
+@_check("spin-momentum-locking", 1e-15, "k_z -> -k_z negates every transverse spin sample")
+def _check_spin_momentum_locking():
     worst = 0.0
     rng = np.random.default_rng(17)
     for family, m, n in _MODES:
@@ -229,17 +293,18 @@ def _check_spin_momentum_locking() -> CheckResult:
     s_f = analytic_spin_surface(_surface(direction=+1), 0.0).total()
     s_b = analytic_spin_surface(_surface(direction=-1), 0.0).total()
     worst = _worst(worst, float(np.max(np.abs(s_f + s_b))) / float(np.max(np.abs(s_f))))
-    return CheckResult("spin-momentum-locking", worst <= 1e-15, worst, 1e-15,
-                       "k_z -> -k_z negates every transverse spin sample")
+    return worst
 
 
-def _check_guided_velocity_duality() -> CheckResult:
-    worst = _gaps((_guided("TE", 1, 0, ratio) for ratio in _RATIOS), "v", "v_g_v_p")
-    return CheckResult("guided-velocity-duality", worst <= 1e-12, worst, 1e-12,
-                       "energy velocity = group velocity c^2 k_z/omega; v_g v_p = c^2")
+@_check("guided-velocity-duality", 1e-12,
+        "energy velocity = group velocity c^2 k_z/omega; v_g v_p = c^2")
+def _check_guided_velocity_duality():
+    return _gaps((_guided("TE", 1, 0, ratio) for ratio in _RATIOS), "v", "v_g_v_p")
 
 
-def _check_guided_spin_extinction() -> CheckResult:
+@_check("guided-spin-extinction", 1e-9,
+        "per-quantum |S_perp| peaks at n hbar for omega = sqrt(2) omega_c")
+def _check_guided_spin_extinction():
     # per-quantum spin sin(2 theta) peaks at omega = sqrt(2) omega_c and
     # falls off monotonically on both sides
     ratios = [1.01, 1.1, 1.2, math.sqrt(2.0), 2.0, 3.0, 6.0]
@@ -251,20 +316,20 @@ def _check_guided_spin_extinction() -> CheckResult:
     rising = all(values[i] < values[i + 1] for i in range(ratios.index(math.sqrt(2.0))))
     falling = all(values[i] > values[i + 1]
                   for i in range(ratios.index(math.sqrt(2.0)), len(values) - 1))
-    ok = rising and falling and _rel(peak, 1.0) <= 1e-9
-    return CheckResult("guided-spin-extinction", ok, _rel(peak, 1.0), 1e-9,
-                       "per-quantum |S_perp| peaks at n hbar for omega = sqrt(2) omega_c")
+    return _rel(peak, 1.0), rising and falling
 
 
-def _check_guided_mass_identities() -> CheckResult:
-    worst = _gaps((_quantized(_guided("TE", 1, 1, ratio), n_quanta)
-                   for ratio in (1.1, 2.0, 10.0) for n_quanta in (1, 2, 5)),
-                  "mass_triangle", "v_g_v_p", "M_n_m", "W_gamma")
-    return CheckResult("guided-mass-identities", worst <= 1e-12, worst, 1e-12,
-                       "energy-momentum-mass triangle, M0 = n m0, W = gamma M0 c^2")
+@_check("guided-mass-identities", 1e-12,
+        "energy-momentum-mass triangle, M0 = n m0, W = gamma M0 c^2")
+def _check_guided_mass_identities():
+    return _gaps((_quantized(_guided("TE", 1, 1, ratio), n_quanta)
+                  for ratio in (1.1, 2.0, 10.0) for n_quanta in (1, 2, 5)),
+                 "mass_triangle", "v_g_v_p", "M_n_m", "W_gamma")
 
 
-def _check_guided_kg_stencil() -> CheckResult:
+@_check("guided-klein-gordon", 1e-6,
+        "5-point stencil + branch residual; 1% off-branch control separated")
+def _check_guided_kg_stencil():
     worst_on = 0.0
     for family, m, n in [("TM", 1, 1), ("TE", 1, 0)]:
         spec = _guided(family, m, n, math.sqrt(2.0))
@@ -275,12 +340,12 @@ def _check_guided_kg_stencil() -> CheckResult:
     off = dispersion_residual(spec, k_z=1.01 * k_z)
     expected_off = 2.01e-2 * (spec.constants.c * k_z / spec.omega) ** 2
     separated = off > 1e3 * max(worst_on, 1e-300) and _rel(off, expected_off) < 1e-2
-    return CheckResult("guided-klein-gordon", worst_on <= 1e-6 and separated,
-                       worst_on, 1e-6,
-                       "5-point stencil + branch residual; 1% off-branch control separated")
+    return worst_on, separated
 
 
-def _check_four_momentum_split() -> CheckResult:
+@_check("guided-four-momentum-split", 1e-12,
+        "Minkowski orthogonality, |p_T|, phase regrouping at 100 events")
+def _check_four_momentum_split():
     rng = np.random.default_rng(23)
     worst = 0.0
     for ratio in (1.3, 2.5):
@@ -293,11 +358,11 @@ def _check_four_momentum_split() -> CheckResult:
                                    con.hbar * spec.omega_c / con.c))
         events = rng.uniform(-1.0, 1.0, size=(100, 4))
         worst = _worst(worst, phase_split_residual(split, events))
-    return CheckResult("guided-four-momentum-split", worst <= 1e-12, worst,
-                       1e-12, "Minkowski orthogonality, |p_T|, phase regrouping at 100 events")
+    return worst
 
 
-def _check_te_m0_doubling() -> CheckResult:
+@_check("guided-te-m0-doubling", 1e-9)
+def _check_te_m0_doubling():
     """Resolving check: TE_m0 volume totals double the generic closed forms.
 
     The generic m, n >= 1 forms contain two transverse averages of 1/2; for
@@ -311,72 +376,37 @@ def _check_te_m0_doubling() -> CheckResult:
     V = spec.geometry.volume
     generic_W = con.eps0 * spec.omega**2 * V * spec.amplitude**2 / (8 * spec.omega_c**2)
     ratio = obs.W / generic_W
-    return CheckResult("guided-te-m0-doubling", _rel(ratio, 2.0) <= 1e-9,
-                       _rel(ratio, 2.0), 1e-9,
-                       f"quadrature W(TE10) / generic closed form = {ratio:.12f} (expected 2)")
+    return (_rel(ratio, 2.0), True,
+            f"quadrature W(TE10) / generic closed form = {ratio:.12f} (expected 2)")
 
 
-def _check_guided_ellipticity() -> CheckResult:
-    worst = _gaps((_guided(family, m, n, ratio)
-                   for family, m, n in [("TM", 1, 1), ("TM", 2, 2), ("TE", 1, 0), ("TE", 2, 1)]
-                   for ratio in (1.05, math.sqrt(2.0), 3.0)), "ellipticity", "theta")
-    return CheckResult("guided-ellipticity", worst <= 1e-10, worst, 1e-10,
-                       "quadrature h_long/h_perp = omega_c/(|k_z| c) for TM (E) and TE (B)")
-
-
-def _check_fields_maxwell() -> CheckResult:
-    worst = 0.0
-    for family, m, n in _MODES:
-        spec = _guided(family, m, n, 1.8)
-        res = maxwell_residuals(spec, (0.3 * _GEOMETRY.a, 0.4 * _GEOMETRY.b, 0.05))
-        worst = _worst(worst, *res.values())
-    for family in ("TM", "TE"):
-        spec = _surface(family=family)
-        res = maxwell_residuals(spec, (0.5 / spec.kappa, 0.0, 1e-7))
-        worst = _worst(worst, *res.values())
-    return CheckResult("fields-maxwell-residuals", worst <= 1e-8, worst, 1e-8,
-                       "FD divergence and Faraday residuals, all families")
-
-
-def _check_fields_boundary() -> CheckResult:
-    worst = 0.0
-    a, b = _GEOMETRY.a, _GEOMETRY.b
-    walls = [((0.0, b / 3, 0.1), (1, 2), 0), ((a, b / 3, 0.1), (1, 2), 0),
-             ((a / 3, 0.0, 0.1), (0, 2), 1), ((a / 3, b, 0.1), (0, 2), 1)]
-    # the reference point first, then each wall's point, in one phasor call
-    points = np.array([(a / 2, b / 2, 0.0)] + [point for point, _, _ in walls])
-    for family, m, n in _MODES:
-        spec = _guided(family, m, n, 1.5)
-        field = guided_field_phasor(spec, tuple(points.T))
-        ref = float(np.max(np.abs(field.E[0]))) + spec.amplitude
-        for E, B, (_, tangential, normal_b) in zip(field.E[1:], field.B[1:], walls):
-            for comp in tangential:
-                worst = _worst(worst, float(np.abs(E[comp])) / ref)
-            worst = _worst(worst, spec.constants.c * float(np.abs(B[normal_b])) / ref)
-    return CheckResult("fields-boundary-conditions", worst <= 1e-15, worst,
-                       1e-15, "tangential E and normal B vanish on all four walls")
+@_check("guided-ellipticity", 1e-10,
+        "quadrature h_long/h_perp = omega_c/(|k_z| c) for TM (E) and TE (B)")
+def _check_guided_ellipticity():
+    return _gaps((_guided(family, m, n, ratio)
+                  for family, m, n in [("TM", 1, 1), ("TM", 2, 2), ("TE", 1, 0), ("TE", 2, 1)]
+                  for ratio in (1.05, math.sqrt(2.0), 3.0)), "ellipticity", "theta")
 
 
 # --------------------------------------------------------------------------
 # surface checks
 
 
-def _check_surface_totals() -> CheckResult:
-    worst = _gaps((_surface(family, eta, phi_deg) for family in ("TM", "TE")
-                   for eta in (1.45, 2.0) for phi_deg in (50.0, 70.0)), "W", "P_z", "S_y")
-    return CheckResult("surface-totals-vs-closed-forms", worst <= 1e-9, worst,
-                       1e-9, "one-node half-space quadrature, both families")
+@_check("surface-totals-vs-closed-forms", 1e-9, "one-node half-space quadrature, both families")
+def _check_surface_totals():
+    return _gaps((_surface(family, eta, phi_deg) for family in ("TM", "TE")
+                  for eta in (1.45, 2.0) for phi_deg in (50.0, 70.0)), "W", "P_z", "S_y")
 
 
-def _check_surface_quantization() -> CheckResult:
-    worst = _gaps((_quantized(_surface(family, 1.45, 65.0), n_quanta)
-                   for family in ("TM", "TE") for n_quanta in (1, 3)),
-                  "S_quantized", "W_quanta", "n_quanta")
-    return CheckResult("surface-quantization", worst <= 1e-9, worst, 1e-9,
-                       "S_y = 2 n hbar tan(theta'); n_quanta = W/(hbar omega)")
+@_check("surface-quantization", 1e-9, "S_y = 2 n hbar tan(theta'); n_quanta = W/(hbar omega)")
+def _check_surface_quantization():
+    return _gaps((_quantized(_surface(family, 1.45, 65.0), n_quanta)
+                  for family in ("TM", "TE") for n_quanta in (1, 3)),
+                 "S_quantized", "W_quanta", "n_quanta")
 
 
-def _check_surface_momentum_form() -> CheckResult:
+@_check("surface-momentum-form", 1e-9)
+def _check_surface_momentum_form():
     """Resolving check: which per-quantum momentum the quadrature supports.
 
     For one quantum the integrated momentum equals ``(v/c^2) hbar omega``
@@ -391,13 +421,13 @@ def _check_surface_momentum_form() -> CheckResult:
     supported = _rel(obs.P_z, (v / con.c**2) * con.hbar * spec.omega)
     factor = obs.P_z / (con.hbar * spec.k_z)
     expected_factor = (spec.omega / (con.c * spec.k_z)) ** 2
-    ok = supported <= 1e-9 and _rel(factor, expected_factor) <= 1e-9
-    return CheckResult("surface-momentum-form", ok, supported, 1e-9,
-                       f"P_z = (v/c^2) hbar omega; P_z/(hbar k_z) = (omega/c k_z)^2 "
-                       f"= {expected_factor:.6f}")
+    return (supported, _rel(factor, expected_factor) <= 1e-9,
+            f"P_z = (v/c^2) hbar omega; P_z/(hbar k_z) = (omega/c k_z)^2 = {expected_factor:.6f}")
 
 
-def _check_surface_mass_identities() -> CheckResult:
+@_check("surface-mass-identities", 1e-12,
+        "m_s triangle, M_s = n m_s, gamma = k_z/kappa, pointwise density triangle")
+def _check_surface_mass_identities():
     specs = [_quantized(_surface(family, 1.6, 55.0), 2) for family in ("TM", "TE")]
     worst = _gaps(specs, "mass_triangle", "M_n_m", "W_gamma", "P_gamma", "gamma", "v")
     for spec in specs:
@@ -410,11 +440,11 @@ def _check_surface_mass_identities() -> CheckResult:
         lhs = w**2 - (p_z * con.c) ** 2
         rhs = (surface_rest_mass_density(spec, xs) * con.c**2) ** 2
         worst = _worst(worst, float(np.max(np.abs(lhs - rhs) / rhs)))
-    return CheckResult("surface-mass-identities", worst <= 1e-12, worst, 1e-12,
-                       "m_s triangle, M_s = n m_s, gamma = k_z/kappa, pointwise density triangle")
+    return worst
 
 
-def _check_surface_pipeline_and_oracle() -> CheckResult:
+@_check("surface-pipeline-and-oracle", 1e-10, "pipeline vs closed form vs 64-sample brute force")
+def _check_surface_pipeline_and_oracle():
     worst = 0.0
     rng = np.random.default_rng(29)
     for family in ("TM", "TE"):
@@ -428,11 +458,11 @@ def _check_surface_pipeline_and_oracle() -> CheckResult:
                        float(np.max(np.abs(pipeline.s_e - closed.s_e))) / scale,
                        float(np.max(np.abs(pipeline.s_m - closed.s_m))) / scale)
         worst = _worst(worst, _oracle_residual(spec, (xs[:4], 0.0, 0.0)))
-    return CheckResult("surface-pipeline-and-oracle", worst <= 1e-10, worst,
-                       1e-10, "pipeline vs closed form vs 64-sample brute force")
+    return worst
 
 
-def _check_surface_subluminal() -> CheckResult:
+@_check("surface-subluminal", 1.0, "W^2 > (P_z c)^2 and |v| < c for all surface waves")
+def _check_surface_subluminal():
     worst_v = 0.0
     ok = True
     for family in ("TM", "TE"):
@@ -443,26 +473,27 @@ def _check_surface_subluminal() -> CheckResult:
             ok = ok and (obs.W**2 - (obs.P_z * con.c) ** 2 > 0.0)
             ok = ok and abs(obs.v) < con.c
             worst_v = _worst(worst_v, abs(obs.v) / con.c)
-    return CheckResult("surface-subluminal", ok, worst_v, 1.0,
-                       "W^2 > (P_z c)^2 and |v| < c for all surface waves")
+    return worst_v, ok
 
 
-def _check_surface_ellipticity() -> CheckResult:
+@_check("surface-ellipticity", 1e-12, "|E_z/E_x| (TM) and |B_z/B_x| (TE) = kappa/|k_z| < 1")
+def _check_surface_ellipticity():
     specs = [_surface(family, 1.8, 62.0) for family in ("TM", "TE")]
     worst = _gaps(specs, "ellipticity", "theta")
     for spec in specs:
         e, theta_prime = ellipticity_surface(spec)
         expected = spec.kappa / abs(spec.k_z)
         worst = _worst(worst, _rel(e, expected), _rel(math.tan(theta_prime), expected))
-    return CheckResult("surface-ellipticity", worst <= 1e-12, worst, 1e-12,
-                       "|E_z/E_x| (TM) and |B_z/B_x| (TE) = kappa/|k_z| < 1")
+    return worst
 
 
 # --------------------------------------------------------------------------
 # algebra checks
 
 
-def _check_algebra_structure() -> CheckResult:
+@_check("algebra-structure", 1e-13,
+        "tau entries, commutators, Casimirs, U involution, S antisymmetry")
+def _check_algebra_structure():
     sms = build_spin_matrices()
     worst = 0.0
     # entries: (tau_k)_{lm} = -i eps_{klm}
@@ -482,22 +513,21 @@ def _check_algebra_structure() -> CheckResult:
     worst = _worst(worst, float(np.max(np.abs(sms.U - sms.U.T))))
     # S antisymmetry
     worst = _worst(worst, float(np.max(np.abs(sms.S + np.swapaxes(sms.S, 0, 1)))))
-    return CheckResult("algebra-structure", worst <= 1e-13, worst, 1e-13,
-                       "tau entries, commutators, Casimirs, U involution, S antisymmetry")
+    return worst
 
 
-def _check_algebra_closure() -> CheckResult:
+@_check("algebra-closure", 1e-12, "structure constants reproduce the frozen fixture; rank 6")
+def _check_algebra_closure():
     table = commutator_table()
     reference = load_reference_commutator_table()
     residual = float(table.pop("residual"))
     reference = {k: v for k, v in reference.items() if k != "residual"}
-    ok = (table == reference and residual <= 1e-12
-          and generator_closure_rank() == 6)
-    return CheckResult("algebra-closure", ok, residual, 1e-12,
-                       "structure constants reproduce the frozen fixture; rank 6")
+    return residual, table == reference and generator_closure_rank() == 6
 
 
-def _check_helicity_eigensystem() -> CheckResult:
+@_check("algebra-helicity-eigensystem", 1e-13,
+        "1050 directions incl. 50 near-pole; pole vectors match printed forms")
+def _check_helicity_eigensystem():
     sms = build_spin_matrices()
     rng = np.random.default_rng(31)
     dirs = rng.normal(size=(1000, 3))
@@ -521,12 +551,11 @@ def _check_helicity_eigensystem() -> CheckResult:
     e_plus = helicity_eigensystem(np.eye(3)[[2, 0, 1]]).e_plus  # +z, +x, +y
     overlaps = np.abs(np.sum(np.conj(printed) * e_plus, axis=-1))
     worst_phase = float(np.max(np.abs(overlaps - 1.0)))
-    ok = worst <= 1e-13 and worst_phase <= 1e-13
-    return CheckResult("algebra-helicity-eigensystem", ok, worst, 1e-13,
-                       "1050 directions incl. 50 near-pole; pole vectors match printed forms")
+    return worst, worst_phase <= 1e-13
 
 
-def _check_spin_decomposition_bridge() -> CheckResult:
+@_check("algebra-spin-bridge", 1e-12, "circular imbalance along y tracks s_e_y; x/z balanced")
+def _check_spin_decomposition_bridge():
     """Matrix picture vs density picture of the surface transverse spin.
 
     Decomposing the TM surface electric phasor about +y must give the
@@ -552,11 +581,11 @@ def _check_spin_decomposition_bridge() -> CheckResult:
         # expectation value of tau.y reproduces the imbalance
         expect = float(np.real(np.conj(E) @ (tau_y @ E)))
         worst = _worst(worst, _rel(expect, along_y.circular_imbalance()))
-    return CheckResult("algebra-spin-bridge", ok and worst <= 1e-12, worst,
-                       1e-12, "circular imbalance along y tracks s_e_y; x/z balanced")
+    return worst, ok
 
 
-def _check_six_spinor_round_trip() -> CheckResult:
+@_check("algebra-six-spinor-round-trip", 1e-13, "U maps standard <-> chiral; norms preserved")
+def _check_six_spinor_round_trip():
     rng = np.random.default_rng(37)
     worst = 0.0
     for _ in range(10):
@@ -568,11 +597,11 @@ def _check_six_spinor_round_trip() -> CheckResult:
         worst = _worst(worst, float(np.max(np.abs(to_standard(chi).values - std.values))))
         worst = _worst(worst, _rel(float(np.linalg.norm(chi.values)),
                                    float(np.linalg.norm(std.values))))
-    return CheckResult("algebra-six-spinor-round-trip", worst <= 1e-13, worst,
-                       1e-13, "U maps standard <-> chiral; norms preserved")
+    return worst
 
 
-def _check_natural_units() -> CheckResult:
+@_check("natural-units", 1e-9, "c = eps0 = hbar = 1 reproduces the per-quantum laws directly")
+def _check_natural_units():
     worst = 0.0
     geometry = WaveguideGeometry(1.0, 0.5, 2.0)
     spec = _quantized(_guided("TM", 1, 1, math.sqrt(2.0), constants=NATURAL,
@@ -581,43 +610,7 @@ def _check_natural_units() -> CheckResult:
     worst = _worst(worst, _rel(obs.W, spec.omega), _rel(obs.S_perp, 1.0))
     con = NATURAL
     worst = _worst(worst, abs(con.c**2 * con.eps0 * con.mu0 - 1.0))
-    return CheckResult("natural-units", worst <= 1e-9, worst, 1e-9,
-                       "c = eps0 = hbar = 1 reproduces the per-quantum laws directly")
-
-
-# Registry keys must equal the name each check stamps on its CheckResult
-# (a unit test enforces this) so that --filter can skip work up front.
-_CHECKS = {
-    "fields-maxwell-residuals": _check_fields_maxwell,
-    "fields-boundary-conditions": _check_fields_boundary,
-    "guided-totals-vs-closed-forms": _check_guided_totals,
-    "guided-quantization": _check_guided_quantization,
-    "guided-balance": _check_guided_balance,
-    "guided-pipeline-vs-analytic-spin": _check_guided_pipeline_spin,
-    "guided-time-average-oracle": _check_guided_oracle,
-    "guided-structural-zeros": _check_guided_structural_zeros,
-    "spin-momentum-locking": _check_spin_momentum_locking,
-    "guided-velocity-duality": _check_guided_velocity_duality,
-    "guided-spin-extinction": _check_guided_spin_extinction,
-    "guided-mass-identities": _check_guided_mass_identities,
-    "guided-klein-gordon": _check_guided_kg_stencil,
-    "guided-four-momentum-split": _check_four_momentum_split,
-    "guided-te-m0-doubling": _check_te_m0_doubling,
-    "guided-ellipticity": _check_guided_ellipticity,
-    "surface-totals-vs-closed-forms": _check_surface_totals,
-    "surface-quantization": _check_surface_quantization,
-    "surface-momentum-form": _check_surface_momentum_form,
-    "surface-mass-identities": _check_surface_mass_identities,
-    "surface-pipeline-and-oracle": _check_surface_pipeline_and_oracle,
-    "surface-subluminal": _check_surface_subluminal,
-    "surface-ellipticity": _check_surface_ellipticity,
-    "algebra-structure": _check_algebra_structure,
-    "algebra-closure": _check_algebra_closure,
-    "algebra-helicity-eigensystem": _check_helicity_eigensystem,
-    "algebra-spin-bridge": _check_spin_decomposition_bridge,
-    "algebra-six-spinor-round-trip": _check_six_spinor_round_trip,
-    "natural-units": _check_natural_units,
-}
+    return worst
 
 
 def check_names() -> list[str]:

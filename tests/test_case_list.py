@@ -157,7 +157,10 @@ def test_every_check_keeps_its_full_precision_values():
 def test_cases_keep_their_digests_under_avx2_dispatch():
     native = _enabled_features()
     allowed = [*__cpu_baseline__, *sorted(native.intersection(_AVX2_AND_BELOW))]
-    env = dict(os.environ, NPY_ENABLE_CPU_FEATURES=" ".join(dict.fromkeys(allowed)))
+    # numpy will not import with both variables set, so drop an inherited disable list
+    env = {key: value for key, value in os.environ.items()
+           if key != "NPY_DISABLE_CPU_FEATURES"}
+    env["NPY_ENABLE_CPU_FEATURES"] = " ".join(dict.fromkeys(allowed))
     proc = subprocess.run([sys.executable, __file__, "--features"], env=env,
                           capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr

@@ -857,13 +857,23 @@ def test_verify_empty_filter_is_a_config_error(capsys):
     assert main(["verify", "--filter", "zzz-none"]) == 1
 
 
-def test_verify_registry_keys_match_stamped_names():
-    # Filtering happens on registry keys before a check runs, so a key that
-    # drifts from the name its check stamps on the result would silently
-    # break --filter.
-    from transpin.verify import check_names, run_checks
+def test_verify_check_passes_within_tolerance_when_its_control_holds():
+    # every check is one body under _check: it passes when measured <= tolerance
+    # and its control, if it returns one, holds; a NaN measured fails
+    from transpin import verify
 
-    assert [r.name for r in run_checks()] == check_names()
+    cases = [(2e-9, False, "declared"), (math.nan, False, "declared"),
+             ((0.0, False), False, "declared"), ((1e-9, True, "text"), True, "text"),
+             (1e-9, True, "declared")]
+    try:
+        for returned, passed, detail in cases:
+            verify._check("throwaway-check", 1e-9, "declared")(lambda out=returned: out)
+            (result,) = verify.run_checks("throwaway-check")
+            measured = returned[0] if isinstance(returned, tuple) else returned
+            assert (result.name, result.passed, repr(result.measured), result.tolerance,
+                    result.detail) == ("throwaway-check", passed, repr(measured), 1e-9, detail)
+    finally:
+        verify._CHECKS.pop("throwaway-check", None)
 
 
 # ---------------------------------------------------------------------------

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from transpin import cli
+from transpin.verify import check_names
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 TEXT = README.read_text(encoding="utf-8")
@@ -60,3 +61,8 @@ def test_readme_counts_the_pinned_cases():
     digests = json.loads((README.parent / "tests" / "case_digests.json").read_text())
     count = re.search(r"`tests/test_case_list\.py` pins the bytes of (\d+) ", TEXT)
     assert int(count[1]) == len(digests)
+
+
+def test_readme_counts_the_checks():
+    count = re.search(r"catalogue of (\d+) physics and algebra checks", TEXT)
+    assert int(count[1]) == len(check_names())
