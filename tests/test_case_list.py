@@ -80,6 +80,8 @@ CASES = [
     f"spinmap --family TM --m 1 --n 1 --nx 2 --ny 3 {_MAP}",
     f"spinmap --kind surface --nx 2 --ny 4 {_MAP}",
     f"spinmap --family TM --m 1 --n 1 --a 1e-7 --b 5e-8 --nx 2 --ny 3 {_MAP}",
+    f"spinmap --family TM --m 2 --n 1 --nx 4097 --ny 3 {_MAP}",
+    f"spinmap --family TM --m 1 --n 1 --nx 3 --ny 3000 {_MAP}",
     "verify",
     "verify --filter guided",
 ]
