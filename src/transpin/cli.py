@@ -21,7 +21,10 @@ configuration error, 2 I/O error, 3 verification failure.
 
 Spin-map rows are written in y-major order (x fastest), each as soon as it
 is formatted, and floats in Python's shortest round-trip representation, so
-output bytes are identical across runs.  A row's text is built once per
+output bytes are identical across runs.  A guided map evaluates its spin
+density once per block of rows, so at most one block of ``_BLOCK_NODES``
+nodes, or one row if a row is longer, is held; a surface map evaluates its
+one depth profile once.  A row's text is built once per
 distinct spin array, split at its ``y``, and each row is that template
 joined on ``repr(y)``: a row whose spin values have the bits of the row
 before it formats only its ``y``, so a TE_m0 map, a map below cutoff and
@@ -39,7 +42,7 @@ import os
 import sys
 import weakref
 from dataclasses import asdict, dataclass, replace
-from typing import Any, Callable, Iterator, Mapping, Sequence, TextIO
+from typing import Any, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
@@ -48,9 +51,9 @@ from .effective_mass import klein_gordon_stencil_residual
 from .errors import ConfigurationError
 from .modes import (GuidedModeSpec, ModeFamily, ModeIndex, SurfaceWaveSpec,
                     WaveguideGeometry, cutoff_frequency)
-from .observables import _check_float_range, amplitude_for_quanta, evaluate
-from .spin import (SpinDensityPair, _guided_scales, _surface_peak,
-                   analytic_spin_guided, analytic_spin_surface)
+from .observables import _BLOCK_NODES, _check_float_range, amplitude_for_quanta, evaluate
+from .spin import (_guided_scales, _surface_peak, analytic_spin_guided,
+                   analytic_spin_surface)
 from .verify import run_checks
 
 __all__ = ["RunConfig", "main"]
@@ -150,7 +153,16 @@ class RunConfig:
     def build_spec(self) -> GuidedModeSpec | SurfaceWaveSpec:
         spec = (self._build_guided() if self.values["kind"] == "guided"
                 else self._build_surface())
-        return replace(spec, amplitude=self._resolve_amplitude(spec))
+        amplitude = self._resolve_amplitude(spec)
+        try:
+            return replace(spec, amplitude=amplitude)
+        except ValueError as exc:
+            # the spec's own message names 'amplitude', a key the user did not set
+            if not self.was_provided("n-quanta"):
+                raise
+            raise ConfigurationError(
+                f"config key 'n-quanta' = {self.values['n-quanta']!r} sets an "
+                f"amplitude out of range: {exc}") from None
 
     def _build_guided(self) -> GuidedModeSpec:
         v = self.values
@@ -267,14 +279,20 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
     Every check runs before this returns: the extents, the peak of each
     spin column, which must be a finite normal float, and the arrays of one
     row, which must fit in memory.  The iterator yields the header line and
-    then one chunk per row, so at most a row is held.  The kind sets the
-    extents, the peaks and how a row is sampled.  Each row is
-    ``repr(y).join(pieces)`` over the template of :func:`_row_pieces`, which
-    is rebuilt only when the row's spin bits differ from the last row's:
-    ``repr`` follows the bits, and ``==`` would equate ``-0.0`` with ``0.0``.
+    then one chunk per row.  The kind sets the extents, the peaks and how
+    rows are sampled: a guided map evaluates its spin once per block of at
+    most ``_BLOCK_NODES`` nodes, or of one row if a row is longer, and a
+    surface map evaluates its one profile once, so at most a block is held.
+    Each row is ``repr(y).join(pieces)`` over the template of
+    :func:`_row_pieces`, which is rebuilt only when the row's spin bits
+    differ from the last row's: ``repr`` follows the bits, and ``==`` would
+    equate ``-0.0`` with ``0.0``.
     """
     nx, ny = config["nx"], config["ny"]
-    pick = SpinDensityPair.combined if config["combine-spins"] else SpinDensityPair.total
+
+    def pick(pair) -> np.ndarray:
+        return pair.combined() if config["combine-spins"] else pair.total()
+
     if config["kind"] == "guided":
         x_max, y_max = spec.geometry.a, spec.geometry.b
         peaks = {}
@@ -285,17 +303,17 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
             peaks["sy_peak"] = kx * K
             peaks["mag_peak"] = math.hypot(ky * K, kx * K)
 
-        def sampler(xs: np.ndarray) -> Callable[[float], SpinDensityPair]:
-            return lambda y: analytic_spin_guided(spec, (xs, np.full(nx, y)))
+        def sampler(xs: np.ndarray):
+            return lambda ys: pick(analytic_spin_guided(spec, (xs[None, :], ys[:, None])))
     else:
         x_max = _surface_extent(config, "x-max-kappa", 5.0) / spec.kappa
         y_max = _surface_extent(config, "z-periods") * 2.0 * math.pi / abs(spec.k_z)
         peaks = {"x_max": x_max, "z_max": y_max, "sy_peak": _surface_peak(spec)}
 
-        def sampler(xs: np.ndarray) -> Callable[[float], SpinDensityPair]:
+        def sampler(xs: np.ndarray):
             # time-averaged densities carry no z dependence: one profile serves every row
-            profile = analytic_spin_surface(spec, xs)
-            return lambda z: profile
+            profile = pick(analytic_spin_surface(spec, xs))
+            return lambda zs: itertools.repeat(profile, zs.size)
     _check_float_range(**peaks)
     try:
         xs = np.linspace(0.0, x_max, nx)
@@ -310,15 +328,16 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
         stations = _stations(y_max, ny)
     except OverflowError:
         raise ConfigurationError("config key 'ny' is too large for a float") from None
+    block_rows = max(1, _BLOCK_NODES // nx)
 
     def rows() -> Iterator[str]:
         yield CSV_HEADER + "\n"
         bits = None
-        for second in stations:
-            s = pick(sample(second))
-            if s.tobytes() != bits:
-                bits, pieces = s.tobytes(), _row_pieces(s, heads)
-            yield repr(second).join(pieces)
+        while block := list(itertools.islice(stations, block_rows)):
+            for second, s in zip(block, sample(np.array(block))):
+                if s.tobytes() != bits:
+                    bits, pieces = s.tobytes(), _row_pieces(s, heads)
+                yield repr(second).join(pieces)
 
     return rows()
 

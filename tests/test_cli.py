@@ -4,7 +4,6 @@ import argparse
 import contextlib
 import gc
 import io
-import itertools
 import json
 import math
 import subprocess
@@ -201,10 +200,9 @@ def test_rows_whose_spin_bits_repeat_are_formatted_once(args, repeats, monkeypat
 
 def test_a_zero_of_the_other_sign_is_formatted_again(monkeypatch, capsys):
     # -0.0 == 0.0, but repr tells them apart, so the bits decide a repeat
-    signs = itertools.cycle([1.0, -1.0])
-
     def signed_zeros(spec, point):
-        s = np.full((len(point[0]), 3), 0.0 * next(signs))
+        s = np.zeros(np.broadcast(*point).shape + (3,))
+        s[1::2] = -0.0  # the rows alternate 0.0 and -0.0
         return SpinDensityPair(s_e=s, s_m=s)
 
     monkeypatch.setattr(cli, "analytic_spin_guided", signed_zeros)
@@ -213,6 +211,51 @@ def test_a_zero_of_the_other_sign_is_formatted_again(monkeypatch, capsys):
     assert [line.split(",", 2)[2] for line in lines] == [
         *["0.0,0.0,0.0,0.0"] * 3, *["-0.0,-0.0,-0.0,0.0"] * 3,
         *["0.0,0.0,0.0,0.0"] * 3, *["-0.0,-0.0,-0.0,0.0"] * 3]
+
+
+def _spy(monkeypatch, name):
+    """Wrap ``cli.<name>`` and return the list of the arguments of its calls."""
+    calls, wrapped = [], getattr(cli, name)
+
+    def spy(*args):
+        calls.append(args)
+        return wrapped(*args)
+
+    monkeypatch.setattr(cli, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("nx, ny", [(9, 6), (201, 101), (3, 3000), (4097, 3)])
+def test_guided_map_evaluates_its_spin_once_per_row_block(nx, ny, monkeypatch, tmp_path):
+    calls = _spy(monkeypatch, "analytic_spin_guided")
+    assert main(["spinmap", "--family", "TM", "--m", "2", "--n", "1", "--nx", str(nx),
+                 "--ny", str(ny), "--output", str(tmp_path / "map.csv")]) == 0
+    block_rows = max(1, cli._BLOCK_NODES // nx)
+    assert len(calls) == math.ceil(ny / block_rows)
+    assert all(np.broadcast(*point).size <= max(cli._BLOCK_NODES, nx)
+               for _, point in calls)
+    ys = np.concatenate([point[1].ravel() for _, point in calls])
+    assert ys.tolist() == np.linspace(0.0, 1.0, ny).tolist()
+
+
+def test_surface_map_evaluates_its_profile_once(monkeypatch, tmp_path):
+    calls = _spy(monkeypatch, "analytic_spin_surface")
+    assert main(["spinmap", "--kind", "surface", "--nx", "3", "--ny", "3000",
+                 "--output", str(tmp_path / "map.csv")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("args, formats", [
+    (["--family", "TE", "--m", "1", "--n", "0", "--nx", "3", "--ny", "3000"], 1),
+    (["--family", "TM", "--m", "1", "--n", "1", "--omega-ratio", "0.8",
+      "--nx", "201", "--ny", "101"], 1),
+    (["--family", "TM", "--m", "2", "--n", "1", "--nx", "201", "--ny", "101"], 101),
+], ids=["TE10-3-blocks", "TM11-below-cutoff-6-blocks", "TM21-6-blocks"])
+def test_repeated_rows_are_formatted_once_across_blocks(args, formats, monkeypatch,
+                                                        tmp_path):
+    calls = _spy(monkeypatch, "_row_pieces")
+    assert main(["spinmap", *args, "--output", str(tmp_path / "map.csv")]) == 0
+    assert len(calls) == formats
 
 
 def test_streamed_map_holds_no_more_than_a_row(tmp_path):
@@ -654,7 +697,7 @@ _EXTREME = st.builds("{}e{}{}".format, st.sampled_from([1, 3]),
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(kind=st.sampled_from(["guided", "surface"]),
        flags=st.lists(st.sampled_from(["a", "b", "length", "omega", "amplitude",
-                                       "omega-ratio"]),
+                                       "omega-ratio", "n-quanta"]),
                       min_size=2, max_size=2, unique=True),
        values=st.lists(_EXTREME, min_size=2, max_size=2))
 def test_extreme_report_flag_pairs_exit_cleanly(kind, flags, values):
@@ -680,6 +723,18 @@ _MAP_OUT_OF_RANGE = [
     (["--kind", "surface", "--omega", "1e-50", "--x-max-kappa", "1e300"], "x_max"),
     (["--kind", "surface", "--omega", "1e-50", "--z-periods", "1e300"], "z_max"),
 ]
+
+
+@pytest.mark.parametrize("args", [
+    ["report", "--n-quanta", "1e300"],
+    ["report", "--kind", "surface", "--n-quanta", "1e300"],
+    ["spinmap", "--n-quanta", "1e300"],
+])
+def test_extreme_n_quanta_is_named(args, capsys):
+    # the spec rejects the amplitude it sets, a key the user did not give
+    err = _config_error(args, capsys)
+    assert err.startswith("config error: config key 'n-quanta' = 1e+300 sets an "
+                          "amplitude out of range: amplitude must be finite")
 
 
 @pytest.mark.parametrize("args, quantity", _MAP_OUT_OF_RANGE)
@@ -743,7 +798,7 @@ def test_row_allocation_failure_names_nx(monkeypatch, tmp_path, capsys):
 @given(kind=st.sampled_from(["guided", "surface"]),
        flags=st.lists(st.sampled_from(["a", "b", "length", "omega", "amplitude",
                                        "omega-ratio", "eta", "x-max-kappa",
-                                       "z-periods"]),
+                                       "z-periods", "n-quanta"]),
                       min_size=2, max_size=2, unique=True),
        values=st.lists(_EXTREME, min_size=2, max_size=2))
 def test_extreme_spinmap_flag_pairs_exit_cleanly(kind, flags, values):
