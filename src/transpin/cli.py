@@ -21,14 +21,8 @@ configuration error, 2 I/O error, 3 verification failure.
 
 Spin-map rows are written in y-major order (x fastest), each as soon as it
 is formatted, and floats in Python's shortest round-trip representation, so
-output bytes are identical across runs.  A guided map evaluates its spin
-density once per block of rows, so at most one block of ``_BLOCK_NODES``
-nodes, or one row if a row is longer, is held; a surface map evaluates its
-one depth profile once.  A row's text is built once per
-distinct spin array, split at its ``y``, and each row is that template
-joined on ``repr(y)``: a row whose spin values have the bits of the row
-before it formats only its ``y``, so a TE_m0 map, a map below cutoff and
-every surface map format their points once.
+output bytes are identical across runs; :func:`_map_rows` says how rows are
+sampled and formatted.
 """
 
 from __future__ import annotations
@@ -51,8 +45,9 @@ from .effective_mass import klein_gordon_stencil_residual
 from .errors import ConfigurationError
 from .modes import (GuidedModeSpec, ModeFamily, ModeIndex, SurfaceWaveSpec,
                     WaveguideGeometry, cutoff_frequency)
-from .observables import _BLOCK_NODES, _check_float_range, amplitude_for_quanta, evaluate
-from .spin import (_guided_scales, _surface_peak, analytic_spin_guided,
+from .observables import (_check_float_range, _check_quanta, _row_blocks,
+                          amplitude_for_quanta, evaluate)
+from .spin import (SpinDensityPair, _guided_scales, _surface_peak, analytic_spin_guided,
                    analytic_spin_surface)
 from .verify import run_checks
 
@@ -87,7 +82,7 @@ _KEYS: dict[str, tuple[type, Any, tuple | None, str | None]] = {
     "eta": (float, 1.5, None, "refractive index (surface)"),
     "phi-deg": (float, 60.0, None, "incidence angle in degrees (surface)"),
     "area": (float, 1.0, None, "quantization area (m^2)"),
-    "x-max-kappa": (float, None, None, "spin-map decay extent in units of 1/kappa"),
+    "x-max-kappa": (float, 5.0, None, "spin-map decay extent in units of 1/kappa"),
     "z-periods": (float, 1.0, None, "propagation-axis extent in guided wavelengths"),
 }
 
@@ -196,7 +191,11 @@ class RunConfig:
             return math.sqrt(2.0 * con.mu0 * spec.omega_c**2 * spec.omega
                              / (math.pi * k_z))
         if self.was_provided("n-quanta"):
-            return amplitude_for_quanta(self.values["n-quanta"], spec)
+            try:
+                n_quanta = _check_quanta(self.values["n-quanta"])
+            except ValueError as exc:
+                raise ConfigurationError(f"config key 'n-quanta': {exc}") from None
+            return amplitude_for_quanta(n_quanta, spec)
         return self.values["amplitude"]
 
 
@@ -255,22 +254,13 @@ def _row_pieces(s: np.ndarray, heads: list[str]) -> list[str]:
                         for (sx, sy, sz), head in zip(s.tolist(), heads[1:])]]
 
 
-def _surface_extent(config: RunConfig, key: str, default: float | None = None) -> float:
-    """A surface-wave extent: the configured value, else ``default``; finite and > 0."""
-    value = config.values.get(key, default)
+def _surface_extent(config: RunConfig, key: str) -> float:
+    """A surface-wave extent, which must be finite and > 0."""
+    value = config[key]
     if not (math.isfinite(value) and value > 0.0):
         raise ConfigurationError(
             f"config key {key!r} must be finite and > 0, got {value!r}")
     return value
-
-
-def _stations(stop: float, num: int) -> Iterator[float]:
-    """``np.linspace(0.0, stop, num).tolist()`` one value at a time, bit for bit.
-
-    A ``num`` too large for a float raises ``OverflowError`` at the call.
-    """
-    step = stop / (num - 1)
-    return itertools.chain((j * step for j in range(num - 1)), (stop,))
 
 
 def _map_rows(config: RunConfig, spec) -> Iterator[str]:
@@ -279,21 +269,20 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
     Every check runs before this returns: the extents, the peak of each
     spin column, which must be a finite normal float, and the arrays of one
     row, which must fit in memory.  The iterator yields the header line and
-    then one chunk per row.  The kind sets the extents, the peaks and how
-    rows are sampled: a guided map evaluates its spin once per block of at
-    most ``_BLOCK_NODES`` nodes, or of one row if a row is longer, and a
-    surface map evaluates its one profile once, so at most a block is held.
-    Each row is ``repr(y).join(pieces)`` over the template of
+    then one chunk per row.  The kind sets the extents and the peaks.  Rows
+    come in the blocks of :func:`~transpin.observables._row_blocks`, whose
+    stations ``arange(start, stop) * y_max/(ny - 1)`` end on ``y_max`` as
+    :func:`numpy.linspace` ends.  A guided map evaluates its spin once per
+    block and a surface map its one depth profile once, so at most a block
+    is held.  Each row is ``repr(y).join(pieces)`` over the template of
     :func:`_row_pieces`, which is rebuilt only when the row's spin bits
     differ from the last row's: ``repr`` follows the bits, and ``==`` would
     equate ``-0.0`` with ``0.0``.
     """
     nx, ny = config["nx"], config["ny"]
-
-    def pick(pair) -> np.ndarray:
-        return pair.combined() if config["combine-spins"] else pair.total()
-
-    if config["kind"] == "guided":
+    guided = config["kind"] == "guided"
+    pick = SpinDensityPair.combined if config["combine-spins"] else SpinDensityPair.total
+    if guided:
         x_max, y_max = spec.geometry.a, spec.geometry.b
         peaks = {}
         if spec.is_propagating:
@@ -302,22 +291,15 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
                 peaks["sx_peak"] = ky * K
             peaks["sy_peak"] = kx * K
             peaks["mag_peak"] = math.hypot(ky * K, kx * K)
-
-        def sampler(xs: np.ndarray):
-            return lambda ys: pick(analytic_spin_guided(spec, (xs[None, :], ys[:, None])))
     else:
-        x_max = _surface_extent(config, "x-max-kappa", 5.0) / spec.kappa
+        x_max = _surface_extent(config, "x-max-kappa") / spec.kappa
         y_max = _surface_extent(config, "z-periods") * 2.0 * math.pi / abs(spec.k_z)
         peaks = {"x_max": x_max, "z_max": y_max, "sy_peak": _surface_peak(spec)}
-
-        def sampler(xs: np.ndarray):
-            # time-averaged densities carry no z dependence: one profile serves every row
-            profile = pick(analytic_spin_surface(spec, xs))
-            return lambda zs: itertools.repeat(profile, zs.size)
     _check_float_range(**peaks)
     try:
         xs = np.linspace(0.0, x_max, nx)
-        sample = sampler(xs)
+        # time-averaged densities carry no z dependence: one profile serves every row
+        profile = None if guided else pick(analytic_spin_surface(spec, xs))
         heads = [f"{x!r}," for x in xs.tolist()] + [""]
     except (ValueError, IndexError, MemoryError) as exc:
         # numpy refuses a size it cannot allocate with any of these three
@@ -325,19 +307,23 @@ def _map_rows(config: RunConfig, spec) -> Iterator[str]:
             "config key 'nx' is too large for one row of the map "
             f"({str(exc) or type(exc).__name__})") from None
     try:
-        stations = _stations(y_max, ny)
+        step = y_max / (ny - 1)
     except OverflowError:
         raise ConfigurationError("config key 'ny' is too large for a float") from None
-    block_rows = max(1, _BLOCK_NODES // nx)
 
     def rows() -> Iterator[str]:
         yield CSV_HEADER + "\n"
         bits = None
-        while block := list(itertools.islice(stations, block_rows)):
-            for second, s in zip(block, sample(np.array(block))):
+        for block in _row_blocks(ny, nx):
+            ys = np.arange(block.start, block.stop) * step
+            if block.stop == ny:
+                ys[-1] = y_max
+            spins = (pick(analytic_spin_guided(spec, (xs[None, :], ys[:, None]))) if guided
+                     else itertools.repeat(profile, ys.size))
+            for y, s in zip(ys.tolist(), spins):
                 if s.tobytes() != bits:
                     bits, pieces = s.tobytes(), _row_pieces(s, heads)
-                yield repr(second).join(pieces)
+                yield repr(y).join(pieces)
 
     return rows()
 
@@ -478,8 +464,15 @@ class _HelpFormatter(argparse.HelpFormatter):
         self._root_section.formatter = weakref.proxy(self)
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, raising a rejected flag as a config error, not exit 2."""
+
+    def error(self, message: str):
+        raise ConfigurationError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="transpin", formatter_class=_HelpFormatter,
         description="Transverse spin, momentum and effective-mass observables "
                     "of guided and evanescent electromagnetic modes.")
@@ -526,9 +519,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     # each call builds its own parser and leaves none of it to the cyclic
     # collector, whose full passes a caller calling main in a loop would pay
     parser = _build_parser()
-    args = parser.parse_args(argv)
-    _unlink(parser)
     try:
+        args = parser.parse_args(argv)
         if args.command == "verify":
             code = cmd_verify(args.filter, args.inject_fault)
         else:
@@ -554,6 +546,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # ResolutionError, UnsupportedModeError
         sys.stderr.write(f"config error: {exc}\n")
         return 1
+    finally:
+        _unlink(parser)
 
 
 if __name__ == "__main__":

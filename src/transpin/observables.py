@@ -142,6 +142,12 @@ def _transverse_rules(spec: GuidedModeSpec):
     return (centres * hx, hx), (centres * hy, hy)
 
 
+def _row_blocks(rows: int, width: int):
+    """Slices of ``range(rows)`` of at most ``_BLOCK_NODES // width`` rows, or one row."""
+    step = max(1, _BLOCK_NODES // width)
+    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
+
+
 def _guided_plane(spec: GuidedModeSpec):
     """The cell weight and field bilinears of one guided quadrature plane.
 
@@ -160,9 +166,7 @@ def _guided_plane(spec: GuidedModeSpec):
     (xs, hx), (ys, hy) = _transverse_rules(spec)
     e2, b2 = np.empty((2, xs.size, ys.size)), np.empty((2, xs.size, ys.size))
     s_z = np.empty((xs.size, ys.size))
-    rows = max(1, _BLOCK_NODES // ys.size)
-    for start in range(0, xs.size, rows):
-        block = slice(start, start + rows)
+    for block in _row_blocks(xs.size, ys.size):
         field = guided_field_phasor(spec, (xs[block, None], ys[None, :], 0.0))
         E, B = field.E, field.B
         # an overflow shows as inf or nan in a total, which the range checks name

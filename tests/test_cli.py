@@ -20,7 +20,8 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from transpin import (GuidedModeSpec, ModeFamily, ModeIndex, SpinDensityPair,
-                      WaveguideGeometry, analytic_spin_guided, analytic_spin_surface, cli)
+                      WaveguideGeometry, analytic_spin_guided, analytic_spin_surface, cli,
+                      observables)
 from transpin.cli import _KEYS, CSV_HEADER, RunConfig, main
 
 
@@ -230,9 +231,9 @@ def test_guided_map_evaluates_its_spin_once_per_row_block(nx, ny, monkeypatch, t
     calls = _spy(monkeypatch, "analytic_spin_guided")
     assert main(["spinmap", "--family", "TM", "--m", "2", "--n", "1", "--nx", str(nx),
                  "--ny", str(ny), "--output", str(tmp_path / "map.csv")]) == 0
-    block_rows = max(1, cli._BLOCK_NODES // nx)
+    block_rows = max(1, observables._BLOCK_NODES // nx)
     assert len(calls) == math.ceil(ny / block_rows)
-    assert all(np.broadcast(*point).size <= max(cli._BLOCK_NODES, nx)
+    assert all(np.broadcast(*point).size <= max(observables._BLOCK_NODES, nx)
                for _, point in calls)
     ys = np.concatenate([point[1].ravel() for _, point in calls])
     assert ys.tolist() == np.linspace(0.0, 1.0, ny).tolist()
@@ -273,9 +274,24 @@ def test_streamed_map_holds_no_more_than_a_row(tmp_path):
 
 
 @pytest.mark.parametrize("stop", [1.0, 0.0102, 0.1, 3.3e-7, 2.0 / 3.0, 1e100, 5e-300])
-def test_stations_equal_linspace_bit_for_bit(stop):
-    for num in (2, 3, 7, 21, 1000, 12345):
-        assert list(cli._stations(stop, num)) == np.linspace(0.0, stop, num).tolist()
+def test_stations_equal_linspace_bit_for_bit(stop, tmp_path):
+    # a guided map spans --b; a waveguide of 5e-300 leaves the float range, so
+    # that stop is the z extent of a surface map, z-periods * 2 pi/|k_z|
+    if stop > 1e-100:
+        args, y_max = ["--a", repr(stop), "--b", repr(stop), "--normalize", "paper-figures"], stop
+    else:
+        k_z = abs(RunConfig.from_sources({"kind": "surface"}, {}).build_spec().k_z)
+        z_periods = stop * k_z / (2.0 * math.pi)
+        args, y_max = ["--kind", "surface", "--z-periods", repr(z_periods)], \
+            z_periods * 2.0 * math.pi / k_z
+    path = tmp_path / "map.csv"
+    # (ny - 1) * y_max/(ny - 1) misses y_max at (1.0, 50) and (5e-300, 7), so
+    # there the last row holds y_max only if it is pinned, as linspace pins it
+    for ny in (2, 3, 7, 21, 50, 1000, 12345):
+        assert main(["spinmap", *args, "--nx", "2", "--ny", str(ny),
+                     "--output", str(path)]) == 0
+        ys = [line.split(",")[1] for line in path.read_text().splitlines()[1:]]
+        assert ys == [repr(y) for y in np.linspace(0.0, y_max, ny).tolist() for _ in range(2)]
 
 
 def test_map_memory_follows_one_row_not_the_row_count(tmp_path):
@@ -586,6 +602,20 @@ def _config_error(args, capsys):
     assert captured.err.startswith("config error: ")
     assert captured.err.count("\n") == 1
     return captured.err
+
+
+@pytest.mark.parametrize("args", [["report", "--kind", "foo"], ["report", "--m", "x"],
+                                  ["report", "--bogus", "1"]])
+def test_rejected_flag_is_a_config_error(args, capsys):
+    # argparse words the rest of the line differently between Python versions
+    assert args[1] in _config_error(args, capsys)
+
+
+@pytest.mark.parametrize("value", ["0.5", "0", "nan"])
+@pytest.mark.parametrize("command", ["report", "spinmap"])
+def test_invalid_n_quanta_names_its_key(command, value, capsys):
+    assert _config_error([command, "--n-quanta", value], capsys).startswith(
+        "config error: config key 'n-quanta': ")
 
 
 @pytest.mark.parametrize("args, field", [
@@ -939,6 +969,7 @@ def test_verify_check_passes_within_tolerance_when_its_control_holds():
     ["report", "--family", "TM", "--m", "1", "--n", "1"],
     ["spinmap", "--nx", "3", "--ny", "2"],
     ["verify", "--filter", "zzz-none"],
+    ["report", "--kind", "foo"],
 ])
 def test_main_leaves_no_parser_to_the_cyclic_collector(args, capsys):
     # main builds a parser on every call; a caller that calls it in a loop

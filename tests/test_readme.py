@@ -66,3 +66,21 @@ def test_readme_counts_the_pinned_cases():
 def test_readme_counts_the_checks():
     count = re.search(r"catalogue of (\d+) physics and algebra checks", TEXT)
     assert int(count[1]) == len(check_names())
+
+
+#: one command line per documented exit code; ``{tmp}`` is a fresh directory
+_EXIT_ARGVS = {
+    0: ["verify", "--filter", "fields"],
+    1: ["report", "--kind", "foo"],
+    2: ["spinmap", "--output", "{tmp}/no/such/dir/map.csv"],
+    3: ["verify", "--inject-fault"],
+}
+
+
+def test_readme_exit_codes_are_the_codes_main_returns(tmp_path, capsys):
+    section = TEXT[TEXT.index("### Exit codes"):]
+    table = section[:section.index("\n## ")]
+    assert [int(code) for code in re.findall(r"^\| (\d+) ", table, flags=re.MULTILINE)] \
+        == list(_EXIT_ARGVS)
+    for code, argv in _EXIT_ARGVS.items():
+        assert cli.main([arg.format(tmp=tmp_path) for arg in argv]) == code, argv
