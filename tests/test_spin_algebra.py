@@ -15,6 +15,7 @@ from transpin import (DomainError, RepresentationError, SixSpinor,
                       generator_closure_rank, helicity_eigensystem,
                       load_reference_commutator_table, surface_field_phasor,
                       to_chiral, to_standard)
+from transpin import spin_algebra
 from transpin.spin_algebra import _GENERATOR_LABELS, _generator_basis
 
 S2 = math.sqrt(2.0)
@@ -121,6 +122,26 @@ def test_commutator_table_equals_the_per_bracket_solves():
     reference = load_reference_commutator_table()
     reference.pop("residual")
     assert table == reference
+
+
+@pytest.mark.parametrize("label, scale, pair, coefficient", [
+    # with S01 doubled every [S01, .] bracket still expands in Gaussian integers;
+    # [S02,S12] = i S01 is the first bracket, in pair order, that does not
+    ("S01", 2.0, "S02,S12", complex(0.0, 0.5)),
+    ("S23", 0.5, "S02,S23", complex(0.0, -0.5)),
+])
+def test_a_broken_generator_names_the_first_bad_coefficient(label, scale, pair, coefficient,
+                                                             monkeypatch):
+    basis = _generator_basis()
+
+    def scaled():
+        return {**basis, label: scale * basis[label]}
+
+    monkeypatch.setattr(spin_algebra, "_generator_basis", scaled)
+    with pytest.raises(AssertionError) as raised:
+        commutator_table()
+    assert str(raised.value) == (
+        f"[{pair}] coefficient {np.complex128(coefficient)!r} is not a Gaussian integer")
 
 
 def test_six_generators_are_linearly_independent():
