@@ -305,7 +305,8 @@ def amplitude_for_quanta(n: int, spec) -> float:
     n = _check_quanta(n)
     _require_propagating(spec, "quantized amplitude")
     target = n * spec.constants.hbar * spec.omega
-    return math.sqrt(target / replace(spec, amplitude=1.0).closed_forms()[0])
+    unit = spec if spec.amplitude == 1.0 else replace(spec, amplitude=1.0)
+    return math.sqrt(target / unit.closed_forms()[0])
 
 
 def quantized_transverse_spin_guided(n: int, spec: GuidedModeSpec) -> float:

@@ -56,6 +56,7 @@ _SQRT2 = np.sqrt(2.0)
 _EYE = np.eye(3)
 #: standard <-> chiral basis change, the block-Hadamard matrix (module docstring)
 _U = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / _SQRT2, _EYE)
+_U.flags.writeable = False
 
 #: Levi-Civita symbol eps[i, j, k]
 LEVI_CIVITA = np.zeros((3, 3, 3))
@@ -87,8 +88,8 @@ class SpinMatrixSet:
     U: np.ndarray
 
 
-def build_spin_matrices() -> SpinMatrixSet:
-    """Construct all spin matrices from the Levi-Civita symbol."""
+def _construct_spin_matrices() -> SpinMatrixSet:
+    """Construct all spin matrices from the Levi-Civita symbol, read-only."""
     tau = -1j * LEVI_CIVITA
     eye2 = np.eye(2)
     swap = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -105,7 +106,22 @@ def build_spin_matrices() -> SpinMatrixSet:
         S[0, l] = -1j * alpha[l - 1]
         S[l, 0] = 1j * alpha[l - 1]
 
-    return SpinMatrixSet(tau=tau, Sigma=Sigma, alpha=alpha, S=S, U=_U.copy())
+    for array in (tau, Sigma, alpha, S):
+        array.flags.writeable = False
+    return SpinMatrixSet(tau=tau, Sigma=Sigma, alpha=alpha, S=S, U=_U)
+
+
+_SPIN_MATRICES = _construct_spin_matrices()
+
+
+def build_spin_matrices() -> SpinMatrixSet:
+    """The spin matrices, built once at import from the Levi-Civita symbol.
+
+    Every call returns the same shared set; its arrays are read-only, so
+    writing to one raises ``ValueError`` instead of changing the matrices
+    every other caller sees.
+    """
+    return _SPIN_MATRICES
 
 
 # --------------------------------------------------------------------------
@@ -274,10 +290,10 @@ _GENERATOR_LABELS = ("S01", "S02", "S03", "S12", "S13", "S23")
 
 
 def _generator_basis() -> dict[str, np.ndarray]:
-    sms = build_spin_matrices()
+    S = _SPIN_MATRICES.S
     return {
-        "S01": sms.S[0, 1], "S02": sms.S[0, 2], "S03": sms.S[0, 3],
-        "S12": sms.S[1, 2], "S13": sms.S[1, 3], "S23": sms.S[2, 3],
+        "S01": S[0, 1], "S02": S[0, 2], "S03": S[0, 3],
+        "S12": S[1, 2], "S13": S[1, 3], "S23": S[2, 3],
     }
 
 
@@ -300,24 +316,28 @@ def commutator_table() -> dict:
                          for left, right in pairs], axis=1)
     coeffs, *_ = np.linalg.lstsq(stack, brackets, rcond=None)
 
-    table: dict = {}
-    for (left, right), coeff in zip(pairs, coeffs.T):
-        entry = {}
-        for label, c in zip(_GENERATOR_LABELS, coeff):
-            snapped = complex(round(c.real), round(c.imag))
-            if abs(c - snapped) > 1e-12:
-                raise AssertionError(
-                    f"[{left},{right}] coefficient {c!r} is not a Gaussian integer")
-            if snapped != 0:
-                entry[label] = [snapped.real, snapped.imag]
-        table[f"{left},{right}"] = entry
+    # one row per pair and one column per label, the order in which the first
+    # bad coefficient is named; + 0.0 turns np.round's -0.0 parts into 0.0
+    per_pair = coeffs.T
+    snapped = np.round(per_pair) + 0.0
+    bad = ~(np.abs(per_pair - snapped) <= 1e-12)
+    if bad.any():
+        row, col = np.argwhere(bad)[0]
+        left, right = pairs[row]
+        raise AssertionError(f"[{left},{right}] coefficient {per_pair[row, col]!r} "
+                             "is not a Gaussian integer")
+    table: dict = {
+        f"{left},{right}": {label: [c.real, c.imag]
+                            for label, c in zip(_GENERATOR_LABELS, row) if c}
+        for (left, right), row in zip(pairs, snapped.tolist())}
     table["residual"] = float(np.max(np.abs(stack @ coeffs - brackets)))
     return table
 
 
 def load_reference_commutator_table() -> dict:
     """The frozen structure-constant fixture shipped with the package."""
-    text = resources.files("transpin").joinpath("data/commutator_table.json").read_text()
+    fixture = resources.files("transpin").joinpath("data/commutator_table.json")
+    text = fixture.read_text(encoding="utf-8")
     return json.loads(text)
 
 

@@ -17,10 +17,10 @@ beyond the tolerance, and ``(measured, ok, detail)`` when it builds its
 detail at run time.  The one pass rule is ``measured <= tolerance and ok``,
 so a NaN ``measured`` fails.
 
-The largest checks are ``algebra-helicity-eigensystem`` (1050 directions),
-``guided-totals-vs-closed-forms`` (18 specs), ``algebra-closure``,
-``guided-ellipticity``, ``guided-quantization`` and
-``guided-mass-identities``: each guided ``evaluate`` integrates one
+The largest checks are ``guided-totals-vs-closed-forms`` (18 specs),
+``algebra-helicity-eigensystem`` (1050 directions), ``guided-ellipticity``,
+``guided-quantization``, ``guided-mass-identities`` and
+``guided-time-average-oracle``: each guided ``evaluate`` integrates one
 quadrature plane.
 """
 
@@ -46,11 +46,11 @@ from .spin import (analytic_spin_guided, analytic_spin_surface,
                    energy_density, instantaneous_energy_sampler,
                    instantaneous_spin_sampler, momentum_density,
                    spin_densities, time_average_oracle)
-from .spin_algebra import (LEVI_CIVITA, SixSpinor, build_spin_matrices,
-                           commutator_table, decompose_polarization,
-                           generator_closure_rank, helicity_eigensystem,
-                           load_reference_commutator_table, to_chiral,
-                           to_standard)
+from .spin_algebra import (LEVI_CIVITA, HelicityEigensystem, SixSpinor,
+                           build_spin_matrices, commutator_table,
+                           decompose_polarization, generator_closure_rank,
+                           helicity_eigensystem, load_reference_commutator_table,
+                           to_chiral, to_standard)
 
 __all__ = ["CheckResult", "run_checks", "check_names"]
 
@@ -528,7 +528,6 @@ def _check_algebra_closure():
 @_check("algebra-helicity-eigensystem", 1e-13,
         "1050 directions incl. 50 near-pole; pole vectors match printed forms")
 def _check_helicity_eigensystem():
-    sms = build_spin_matrices()
     rng = np.random.default_rng(31)
     dirs = rng.normal(size=(1000, 3))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
@@ -543,7 +542,9 @@ def _check_helicity_eigensystem():
     # vectors[i, l] is the eigenvector of helicity lams[l] about dirs[i]
     vectors = np.stack([basis.e_plus, basis.e_zero, basis.e_minus], axis=1)
     lams = np.array([+1.0, 0.0, -1.0])
-    applied = np.einsum("ik,kab,ilb->ila", dirs, sms.tau, vectors)
+    # tau.n per direction first: the three-operand form takes twice as long
+    n_dot_tau = np.einsum("ik,kab->iab", dirs, build_spin_matrices().tau)
+    applied = np.einsum("iab,ilb->ila", n_dot_tau, vectors)
     worst = _worst(float(np.max(np.abs(applied - lams[:, None] * vectors))),
                    float(np.max(np.abs(np.linalg.norm(vectors, axis=-1) - 1.0))))
     # printed special cases, up to a global phase
@@ -566,15 +567,19 @@ def _check_spin_decomposition_bridge():
     worst = 0.0
     ok = True
     tau_y = build_spin_matrices().tau[1]
+    # the +y, +z and +x bases from one batched call; each row has its own call's bits
+    axes = helicity_eigensystem(np.eye(3)[[1, 2, 0]])
+    y_basis, *balanced = [HelicityEigensystem(**{k: v[row] for k, v in vars(axes).items()})
+                          for row in range(3)]
     for direction in (+1, -1):
         spec = _surface("TM", 1.5, 60.0, direction=direction)
         field = surface_field_phasor(spec, (0.2 / spec.kappa, 0.0, 0.0))
         E = np.asarray(field.E)
         s_y = float(analytic_spin_surface(spec, 0.2 / spec.kappa).s_e[..., 1])
-        along_y = decompose_polarization(E, np.array([0.0, 1.0, 0.0]))
+        along_y = decompose_polarization(E, y_basis)
         ok = ok and (along_y.circular_imbalance() * s_y > 0.0)
-        for axis in ([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]):
-            coeffs = decompose_polarization(E, np.array(axis))
+        for basis in balanced:
+            coeffs = decompose_polarization(E, basis)
             imbalance = abs(coeffs.circular_imbalance())
             scale = float(np.sum(np.abs(E) ** 2))
             worst = _worst(worst, imbalance / scale)

@@ -141,6 +141,31 @@ def test_quanta_inversion_round_trip_for_half_width_mode(make_guided):
     assert_allclose(integrate_guided(spec).n_quanta, 4.0, rtol=1e-9)
 
 
+def test_quantized_amplitude_keeps_the_bits_of_a_unit_spec(make_guided, make_surface):
+    # the reference inversion goes through a spec replaced at amplitude 1.0,
+    # whatever amplitude the spec it is given carries
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        con = (SI, NATURAL)[rng.integers(2)]
+        direction = (1, -1)[rng.integers(2)]
+        family, m, n = [("TM", 1, 1), ("TE", 1, 0), ("TE", 2, 1), ("TM", 3, 2)][rng.integers(4)]
+        n_quanta = int(rng.integers(1, 6))
+        guided = make_guided(family, m, n, ratio=rng.uniform(1.01, 4.0),
+                             direction=direction, constants=con)
+        surface = make_surface(family, eta=rng.uniform(1.2, 3.0),
+                               phi_deg=rng.uniform(50.0, 85.0),
+                               omega=10.0 ** rng.uniform(10, 16) if con is SI
+                               else rng.uniform(0.1, 10),
+                               area=10.0 ** rng.uniform(-8, 0), direction=direction,
+                               constants=con)
+        for spec in (guided, surface):
+            target = n_quanta * con.hbar * spec.omega
+            expected = math.sqrt(target / replace(spec, amplitude=1.0).closed_forms()[0])
+            for amplitude in (1.0, 1, 10.0 ** rng.uniform(-6, 6)):
+                assert amplitude_for_quanta(
+                    n_quanta, replace(spec, amplitude=amplitude)) == expected
+
+
 def test_natural_unit_quantization(make_guided, unit_geometry):
     spec = make_guided("TM", 1, 1, ratio=SQRT2, constants=NATURAL,
                        geometry=unit_geometry)

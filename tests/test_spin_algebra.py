@@ -1,6 +1,8 @@
 """Spin-1 matrices, six-component spinors, helicity bases, decomposition."""
 
 import inspect
+import itertools
+import json
 import math
 
 import numpy as np
@@ -16,7 +18,7 @@ from transpin import (DomainError, RepresentationError, SixSpinor,
                       load_reference_commutator_table, surface_field_phasor,
                       to_chiral, to_standard)
 from transpin import spin_algebra
-from transpin.spin_algebra import _GENERATOR_LABELS, _generator_basis
+from transpin.spin_algebra import LEVI_CIVITA, _GENERATOR_LABELS, _generator_basis
 
 S2 = math.sqrt(2.0)
 
@@ -82,6 +84,31 @@ def test_generator_antisymmetry_and_boost_blocks():
     assert_allclose(sms.S[3, 1], sms.Sigma[1], atol=0)
 
 
+def test_spin_matrices_are_one_shared_read_only_set():
+    sms = build_spin_matrices()
+    assert build_spin_matrices() is sms
+    # a fresh construction from the Levi-Civita symbol, longhand
+    tau = -1j * LEVI_CIVITA
+    Sigma = np.stack([np.kron(np.eye(2), tau[k]) for k in range(3)])
+    alpha = np.stack([np.kron([[0.0, 1.0], [1.0, 0.0]], tau[k]) for k in range(3)])
+    S = np.zeros((4, 4, 6, 6), dtype=complex)
+    for l, m, n in itertools.product(range(3), repeat=3):
+        if LEVI_CIVITA[l, m, n] != 0.0:
+            S[l + 1, m + 1] += LEVI_CIVITA[l, m, n] * Sigma[n]
+    for l in range(3):
+        S[0, l + 1] = -1j * alpha[l]
+        S[l + 1, 0] = 1j * alpha[l]
+    U = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / S2, np.eye(3))
+    for name, fresh in [("tau", tau), ("Sigma", Sigma), ("alpha", alpha), ("S", S), ("U", U)]:
+        shared = getattr(sms, name)
+        with pytest.raises(ValueError, match="read-only"):
+            shared[(0,) * shared.ndim] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            shared *= 2.0
+        assert shared.dtype == fresh.dtype and shared.shape == fresh.shape, name
+        assert shared.tobytes() == fresh.tobytes(), name
+
+
 def test_commutators_close_with_gaussian_integer_coefficients():
     table = commutator_table()
     assert table.pop("residual") <= 1e-12
@@ -103,6 +130,8 @@ def test_frozen_commutator_fixture_is_reproducible():
     fresh_residual = fresh.pop("residual")
     ref_residual = reference.pop("residual")
     assert fresh == reference
+    # the same text too, so no part of a coefficient is a -0.0
+    assert json.dumps(fresh) == json.dumps(reference)
     assert fresh_residual <= 1e-12 and ref_residual <= 1e-12
 
 
@@ -122,6 +151,23 @@ def test_commutator_table_equals_the_per_bracket_solves():
     reference = load_reference_commutator_table()
     reference.pop("residual")
     assert table == reference
+
+
+def test_a_negative_zero_part_is_written_as_zero(monkeypatch):
+    # a solver that returns -0.0 for every zero part must not change the table's text
+    lstsq = np.linalg.lstsq
+
+    def signed_zeros(*args, **kwargs):
+        coeffs, *rest = lstsq(*args, **kwargs)
+        parts = [np.where(part == 0.0, -0.0, part) for part in (coeffs.real, coeffs.imag)]
+        return (parts[0] + 1j * parts[1], *rest)
+
+    reference = load_reference_commutator_table()
+    reference.pop("residual")
+    monkeypatch.setattr(np.linalg, "lstsq", signed_zeros)
+    table = commutator_table()
+    table.pop("residual")
+    assert json.dumps(table) == json.dumps(reference)
 
 
 @pytest.mark.parametrize("label, scale, pair, coefficient", [

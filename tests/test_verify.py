@@ -2,6 +2,7 @@
 
 import ast
 import math
+import subprocess
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
@@ -246,3 +247,21 @@ def test_benchmark_pins_the_check_names_in_order():
                  if isinstance(node, ast.Assign)
                  and getattr(node.targets[0], "id", None) == "VERIFY_CHECK_NAMES")
     assert check_names() == list(ast.literal_eval(names))
+
+
+def test_verify_passes_where_a_default_text_encoding_is_an_error():
+    # every file the catalogue reads names its encoding
+    proc = subprocess.run([sys.executable, "-X", "warn_default_encoding",
+                           "-W", "error::EncodingWarning", "-m", "transpin", "verify"],
+                          capture_output=True, encoding="utf-8")
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.count("PASS  ") == len(check_names())
+
+
+def test_a_second_verify_in_one_process_prints_the_same_bytes(capsys):
+    # no check leaves state behind in the shared spin matrices or elsewhere
+    outputs = []
+    for _ in range(2):
+        assert cli.main(["verify"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
