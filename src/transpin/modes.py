@@ -382,11 +382,62 @@ class FieldPhasor:
     B: np.ndarray
 
 
-def _stack3(cx, cy, cz) -> np.ndarray:
-    """The three components broadcast together on a new trailing complex axis."""
-    out = np.empty(np.broadcast(cx, cy, cz).shape + (3,), complex)
-    out[..., 0], out[..., 1], out[..., 2] = cx, cy, cz
+def _stack3(*components) -> np.ndarray:
+    """The three components broadcast together on a new trailing complex axis.
+
+    A component given as ``None`` is a structural zero, written as ``0j``.
+    """
+    out = np.empty(np.broadcast(*(c for c in components if c is not None)).shape + (3,),
+                   complex)
+    for k, c in enumerate(components):
+        out[..., k] = 0.0 if c is None else c
     return out
+
+
+def _guided_phase(spec: GuidedModeSpec, z, t) -> np.ndarray:
+    """``P = exp(-i*(omega*t - k_z*z))`` at the float arrays ``z`` and ``t``."""
+    return np.exp(-1j * (spec.omega * t - spec.k_z * z))
+
+
+def _guided_components(spec: GuidedModeSpec, x, y, phase):
+    """The guided phasor's components ``(E, B)`` at ``x``, ``y`` times ``phase``.
+
+    ``E`` and ``B`` are each a tuple ``(X_x, X_y, X_z)`` of the complex
+    arrays of :func:`guided_field_phasor`, broadcast over ``x``, ``y`` and
+    ``phase``.  The family's structural zero, ``B_z`` for TM and ``E_z`` for
+    TE, is ``None`` and is not built.  ``x`` and ``y`` are float arrays the
+    caller has checked, and ``phase`` is :func:`_guided_phase`.
+    """
+    geom, idx, con = spec.geometry, spec.index, spec.constants
+    omega, omega_c, k_z = spec.omega, spec.omega_c, spec.k_z
+    kx = idx.m * math.pi / geom.a
+    ky = idx.n * math.pi / geom.b
+    r = con.c**2 / omega_c**2
+    sx, cx = np.sin(kx * x), np.cos(kx * x)
+    sy, cy = np.sin(ky * y), np.cos(ky * y)
+
+    if idx.family is ModeFamily.TM:
+        e0 = spec.amplitude
+        return ((1j * kx * k_z * r * e0 * cx * sy * phase,
+                 1j * ky * k_z * r * e0 * sx * cy * phase,
+                 e0 * sx * sy * phase),
+                (-1j * ky * (omega / omega_c**2) * e0 * sx * cy * phase,
+                 1j * kx * (omega / omega_c**2) * e0 * cx * sy * phase,
+                 None))
+    b0 = spec.amplitude / con.c
+    return ((-1j * ky * omega * r * b0 * cx * sy * phase,
+             1j * kx * omega * r * b0 * sx * cy * phase,
+             None),
+            (-1j * kx * k_z * r * b0 * sx * cy * phase,
+             -1j * ky * k_z * r * b0 * cx * sy * phase,
+             b0 * cx * cy * phase))
+
+
+def _require_finite(**values) -> None:
+    """Raise :class:`DomainError` naming the first array with a non-finite entry."""
+    for name, value in values.items():
+        if not np.isfinite(value).all():
+            raise DomainError(f"{name} must be finite")
 
 
 def guided_field_phasor(spec: GuidedModeSpec, point, t=0.0) -> FieldPhasor:
@@ -396,13 +447,20 @@ def guided_field_phasor(spec: GuidedModeSpec, point, t=0.0) -> FieldPhasor:
     ----------
     spec : GuidedModeSpec
     point : tuple of float or ndarray
-        Coordinates; broadcast against each other and ``t``.  ``x`` must lie
-        in ``[0, a]`` and ``y`` in ``[0, b]``.
+        Coordinates; broadcast against each other and ``t``.  Every ``x``
+        must lie in ``[0, a]`` and every ``y`` in ``[0, b]``, so NaN is
+        rejected; ``z`` must be finite.
     t : float or ndarray, optional
+        Must be finite.
 
     Returns
     -------
     FieldPhasor
+
+    Raises
+    ------
+    DomainError
+        For a coordinate or time outside its domain.
 
     Notes
     -----
@@ -424,42 +482,24 @@ def guided_field_phasor(spec: GuidedModeSpec, point, t=0.0) -> FieldPhasor:
         B_z =            B0 cos(k_x x) cos(k_y y) * P
 
     where ``P = exp(-i*(omega*t - k_z*z))``.  Both satisfy the source-free
-    Maxwell equations exactly (checked by :func:`maxwell_residuals`).
+    Maxwell equations exactly (checked by :func:`maxwell_residuals`).  The
+    components come from :func:`_guided_components`, which the guided
+    quadrature plane calls directly; here they are stacked on the trailing
+    axis, with ``0j`` for the family's zero ``B_z`` (TM) or ``E_z`` (TE).
     """
-    geom, idx, con = spec.geometry, spec.index, spec.constants
+    geom = spec.geometry
     x = np.asarray(point[0], dtype=float)
     y = np.asarray(point[1], dtype=float)
     z = np.asarray(point[2], dtype=float)
-    if (x < 0.0).any() or (x > geom.a).any():
+    t = np.asarray(t, dtype=float)
+    # written as "every coordinate lies inside", so that NaN fails them
+    if not ((x >= 0.0) & (x <= geom.a)).all():
         raise DomainError(f"x must lie in [0, {geom.a}]")
-    if (y < 0.0).any() or (y > geom.b).any():
+    if not ((y >= 0.0) & (y <= geom.b)).all():
         raise DomainError(f"y must lie in [0, {geom.b}]")
-
-    omega, omega_c, k_z = spec.omega, spec.omega_c, spec.k_z
-    kx = idx.m * math.pi / geom.a
-    ky = idx.n * math.pi / geom.b
-    r = con.c**2 / omega_c**2
-    phase = np.exp(-1j * (omega * np.asarray(t, dtype=float) - k_z * z))
-    sx, cx = np.sin(kx * x), np.cos(kx * x)
-    sy, cy = np.sin(ky * y), np.cos(ky * y)
-
-    if idx.family is ModeFamily.TM:
-        e0 = spec.amplitude
-        E = _stack3(1j * kx * k_z * r * e0 * cx * sy * phase,
-                    1j * ky * k_z * r * e0 * sx * cy * phase,
-                    e0 * sx * sy * phase)
-        B = _stack3(-1j * ky * (omega / omega_c**2) * e0 * sx * cy * phase,
-                    1j * kx * (omega / omega_c**2) * e0 * cx * sy * phase,
-                    np.zeros_like(phase))
-    else:
-        b0 = spec.amplitude / con.c
-        E = _stack3(-1j * ky * omega * r * b0 * cx * sy * phase,
-                    1j * kx * omega * r * b0 * sx * cy * phase,
-                    np.zeros_like(phase))
-        B = _stack3(-1j * kx * k_z * r * b0 * sx * cy * phase,
-                    -1j * ky * k_z * r * b0 * cx * sy * phase,
-                    b0 * cx * cy * phase)
-    return FieldPhasor(E=E, B=B)
+    _require_finite(z=z, t=t)
+    E, B = _guided_components(spec, x, y, _guided_phase(spec, z, t))
+    return FieldPhasor(E=_stack3(*E), B=_stack3(*B))
 
 
 def surface_field_phasor(spec: SurfaceWaveSpec, point, t=0.0) -> FieldPhasor:
@@ -468,27 +508,29 @@ def surface_field_phasor(spec: SurfaceWaveSpec, point, t=0.0) -> FieldPhasor:
     TM carries ``(E_x, E_z, B_y)``; TE carries ``(E_y, B_x, B_z)``.  The
     longitudinal component lags/leads its transverse partner by pi/2 (the
     ``-i kappa/omega`` and ``+i kappa/omega`` factors), which is the origin
-    of the transverse spin of these waves.
+    of the transverse spin of these waves.  A NaN ``x``, or a non-finite
+    ``z`` or ``t``, raises :class:`DomainError`.
     """
     con = spec.constants
     x = np.asarray(point[0], dtype=float)
     z = np.asarray(point[2], dtype=float)
-    if (x < 0.0).any():
+    t = np.asarray(t, dtype=float)
+    if not (x >= 0.0).all():
         raise DomainError("surface wave is defined on the vacuum side x >= 0")
+    _require_finite(z=z, t=t)
 
     omega, k_z, kappa = spec.omega, spec.k_z, spec.kappa
-    F = np.exp(1j * (k_z * z - omega * np.asarray(t, dtype=float)) - kappa * x)
-    zero = np.zeros_like(F)
+    F = np.exp(1j * (k_z * z - omega * t) - kappa * x)
     c2 = con.c**2
 
     if spec.family is ModeFamily.TM:
         a0 = spec.amplitude / con.c
-        E = _stack3((k_z / omega) * c2 * a0 * F, zero, -1j * (kappa / omega) * c2 * a0 * F)
-        B = _stack3(zero, a0 * F, zero)
+        E = _stack3((k_z / omega) * c2 * a0 * F, None, -1j * (kappa / omega) * c2 * a0 * F)
+        B = _stack3(None, a0 * F, None)
     else:
         b0 = spec.amplitude
-        E = _stack3(zero, b0 * F, zero)
-        B = _stack3(-(k_z / omega) * b0 * F, zero, 1j * (kappa / omega) * b0 * F)
+        E = _stack3(None, b0 * F, None)
+        B = _stack3(-(k_z / omega) * b0 * F, None, 1j * (kappa / omega) * b0 * F)
     return FieldPhasor(E=E, B=B)
 
 

@@ -182,9 +182,10 @@ def analytic_spin_guided(spec: GuidedModeSpec, point) -> SpinDensityPair:
     geom, idx = spec.geometry, spec.index
     x = np.asarray(point[0], dtype=float)
     y = np.asarray(point[1], dtype=float)
-    if np.any(x < 0.0) or np.any(x > geom.a):
+    # written as "every coordinate lies inside", so that NaN fails them
+    if not np.all((x >= 0.0) & (x <= geom.a)):
         raise DomainError(f"x must lie in [0, {geom.a}]")
-    if np.any(y < 0.0) or np.any(y > geom.b):
+    if not np.all((y >= 0.0) & (y <= geom.b)):
         raise DomainError(f"y must lie in [0, {geom.b}]")
 
     shape = np.broadcast(x, y).shape + (3,)
@@ -215,7 +216,7 @@ def analytic_spin_surface(spec: SurfaceWaveSpec, x) -> SpinDensityPair:
     is still formed to a few ulp (:func:`_decayed`).
     """
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0):
+    if not np.all(x >= 0.0):
         raise DomainError("surface wave is defined on the vacuum side x >= 0")
     shape = x.shape + (3,)
     zeros = np.zeros(shape)
@@ -253,12 +254,15 @@ def time_average_oracle(sampler, omega: float, samples: int = 64):
     omega : float
         Angular frequency; the period is ``2*pi/omega``.
     samples : int
-        Number of equispaced samples; at least 4.
+        Number of equispaced samples; a whole number, at least 4.
     """
     if not (omega > 0.0):
         raise ValueError(f"omega must be positive, got {omega!r}")
-    if samples < 4:
-        raise ConfigurationError(f"need at least 4 samples per period, got {samples}")
+    # a fractional count would space the samples period/samples apart and
+    # run the grid past one period
+    if not (4 <= samples < math.inf) or samples != int(samples):
+        raise ConfigurationError(
+            f"need a whole number of at least 4 samples per period, got {samples}")
     period = 2.0 * math.pi / omega
     t = np.arange(samples) * period / samples
     return np.mean(np.asarray(sampler(t)), axis=0)

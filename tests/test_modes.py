@@ -25,7 +25,8 @@ from transpin import (DomainError, GuidedModeSpec, InvalidModeError,
                       guided_field_phasor, maxwell_residuals,
                       surface_field_phasor)
 from transpin.constants import NATURAL, SI
-from transpin.modes import _fd_vector_derivatives, _ratio, _stack3
+from transpin.modes import (_fd_vector_derivatives, _guided_components,
+                            _guided_phase, _ratio, _stack3)
 
 
 # ---------------------------------------------------------------------------
@@ -345,10 +346,38 @@ def test_stack3_equals_the_np_stack_form():
     rng = np.random.default_rng(3)
     cx = rng.normal(size=(4, 1)) + 1j * rng.normal(size=(4, 1))
     cy = rng.normal(size=(1, 5))
-    for parts in [(cx, cy, 0.0), (1.5, -0.0, 2j), (cy, cx, np.zeros((4, 5)))]:
-        want = np.stack(np.broadcast_arrays(*(np.asarray(c, complex) for c in parts)),
-                        axis=-1)
+    for parts in [(cx, cy, 0.0), (1.5, -0.0, 2j), (cy, cx, np.zeros((4, 5))),
+                  (cx, None, cy), (None, 2j, None)]:
+        # None is a structural zero, written as 0j
+        want = np.stack(np.broadcast_arrays(*(np.asarray(0j if c is None else c, complex)
+                                              for c in parts)), axis=-1)
         assert _same_bits(_stack3(*parts), want)
+
+
+def test_guided_phasor_stacks_the_kernel_components_bit_for_bit(bench_geometry):
+    rng = np.random.default_rng(32)
+    a, b = bench_geometry.a, bench_geometry.b
+    for trial in range(40):
+        family = (ModeFamily.TM, ModeFamily.TE)[trial % 2]
+        top = int(rng.integers(1, 201))
+        low = int(rng.integers(family is ModeFamily.TM, top + 1))
+        m, n = (top, low) if rng.random() < 0.5 else (low, top)
+        index = ModeIndex(family, m, n)
+        omega = rng.uniform(1.01, 4.0) * cutoff_frequency(index, bench_geometry, SI)
+        spec = GuidedModeSpec(bench_geometry, index, omega, 10.0 ** rng.uniform(-3.0, 3.0),
+                              (1, -1)[trial // 2 % 2], SI)
+        # the walls and random interior points, a column of z and a row of t
+        x = np.concatenate([[0.0, a], rng.uniform(0.0, a, 5)])[:, None, None]
+        y = np.concatenate([[0.0, b], rng.uniform(0.0, b, 4)])[None, :, None]
+        z, t = rng.uniform(-1.0, 1.0, (7, 1, 1)), rng.uniform(0.0, 1e-9, 3)
+        field = guided_field_phasor(spec, (x, y, z), t)
+        E, B = _guided_components(spec, x, y, _guided_phase(spec, z, t))
+        assert (E[2] is None, B[2] is None) == (family is ModeFamily.TE,
+                                                family is ModeFamily.TM)
+        for stacked, parts in ((field.E, E), (field.B, B)):
+            for k, part in enumerate(parts):
+                want = np.zeros((7, 6, 3), complex) if part is None else part
+                assert _same_bits(stacked[..., k], want), (spec, k)
 
 
 def test_packaged_maxwell_residuals_agree_with_local_check(make_guided):

@@ -415,14 +415,15 @@ def test_guided_grid_is_bounded(make_guided, family, m, n):
 
 @pytest.mark.parametrize("quadrature", [integrate_guided, balance_integral])
 def test_each_guided_quadrature_evaluates_one_plane(make_guided, monkeypatch, quadrature):
-    phasor, grids, crosses = observables.guided_field_phasor, [], []
+    kernel, grids, crosses = observables._guided_components, [], []
 
-    def spy(spec, point, t=0.0):
-        assert np.all(np.asarray(point[2]) == 0.0)
-        grids.append(np.broadcast_arrays(point[0], point[1]))
-        return phasor(spec, point, t)
+    def spy(spec, x, y, phase):
+        # one scalar phase, exp(0) at z = 0 and t = 0
+        assert np.shape(phase) == () and phase == 1.0
+        grids.append(np.broadcast_arrays(x, y))
+        return kernel(spec, x, y, phase)
 
-    monkeypatch.setattr(observables, "guided_field_phasor", spy)
+    monkeypatch.setattr(observables, "_guided_components", spy)
     monkeypatch.setattr(observables, "momentum_density", crosses.append)
     quadrature(make_guided("TE", 3, 2))
     # max(2(m+n)+2, 2*max(m, n)+1) nodes per axis, within one block
@@ -507,9 +508,9 @@ def test_guided_quadrature_memory_follows_one_plane(make_guided):
         finally:
             tracemalloc.stop()
         # the plane's transverse and longitudinal |E|^2 and |B|^2 and
-        # Re(E x B*)_z take 40 B a node; one row block's E, B and their
-        # complex temporaries stay under 192 B a block node
-        assert peak <= nodes**2 * 40 + observables._BLOCK_NODES * 192, (m, n)
+        # Re(E x B*)_z take 40 B a node; one row block's five non-zero
+        # components and their temporaries stay under 160 B a block node
+        assert peak <= nodes**2 * 40 + observables._BLOCK_NODES * 160, (m, n)
 
 
 def test_surface_totals_subluminal(make_surface):

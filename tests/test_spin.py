@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from transpin import (ConfigurationError, FieldPhasor, analytic_spin_guided,
-                      analytic_spin_surface, energy_density,
-                      guided_field_phasor, momentum_density, spin_densities,
-                      surface_field_phasor, time_average_oracle,
-                      vector_potentials)
+from transpin import (ConfigurationError, DomainError, FieldPhasor,
+                      analytic_spin_guided, analytic_spin_surface,
+                      energy_density, guided_field_phasor, momentum_density,
+                      spin_densities, surface_field_phasor,
+                      time_average_oracle, vector_potentials)
 from transpin.constants import NATURAL, SI
 from transpin.spin import (_cross, _surface_peak, instantaneous_energy_sampler,
                            instantaneous_spin_sampler)
@@ -281,6 +281,57 @@ def test_oracle_rejects_tiny_sample_counts(make_guided):
     sampler = instantaneous_spin_sampler(make_guided(), (0.001, 0.001, 0.0))
     with pytest.raises(ConfigurationError):
         time_average_oracle(sampler, 1e9, samples=3)
+
+
+@pytest.mark.parametrize("samples", [4.5, 63.9, math.nan, math.inf])
+def test_oracle_rejects_a_fractional_sample_count(samples):
+    # np.arange(4.5) is 5 samples period/4.5 apart: past one period
+    with pytest.raises(ConfigurationError, match="whole number of at least 4 samples"):
+        time_average_oracle(lambda t: t, 1.0, samples=samples)
+    assert time_average_oracle(lambda t: t, 1.0, samples=4.0) == 0.75 * math.pi
+
+
+# (function, index of the bad coordinate, non-finite values it rejects, message);
+# the coordinates are (x, y, z, t), as many as the function reads
+_NON_FINITE_COORDINATES = [
+    (guided_field_phasor, 0, (math.nan, math.inf, -math.inf), r"x must lie in \[0, "),
+    (guided_field_phasor, 1, (math.nan, math.inf, -math.inf), r"y must lie in \[0, "),
+    (guided_field_phasor, 2, (math.nan, math.inf, -math.inf), "z must be finite"),
+    (guided_field_phasor, 3, (math.nan, math.inf, -math.inf), "t must be finite"),
+    # x = +inf is the far end of the vacuum side, where the field is 0
+    (surface_field_phasor, 0, (math.nan, -math.inf), "vacuum side x >= 0"),
+    (surface_field_phasor, 2, (math.nan, math.inf, -math.inf), "z must be finite"),
+    (surface_field_phasor, 3, (math.nan, math.inf, -math.inf), "t must be finite"),
+    (analytic_spin_guided, 0, (math.nan, math.inf, -math.inf), r"x must lie in \[0, "),
+    (analytic_spin_guided, 1, (math.nan, math.inf, -math.inf), r"y must lie in \[0, "),
+    (analytic_spin_surface, 0, (math.nan, -math.inf), "vacuum side x >= 0"),
+]
+
+
+def _call_at(function, spec, coordinates):
+    if function in (guided_field_phasor, surface_field_phasor):
+        return function(spec, tuple(coordinates[:3]), coordinates[3])
+    if function is analytic_spin_guided:
+        return function(spec, tuple(coordinates[:2]))
+    return function(spec, coordinates[0])
+
+
+@pytest.mark.parametrize("function, coordinate, values, message", _NON_FINITE_COORDINATES,
+                         ids=[f"{case[0].__name__}-{'xyzt'[case[1]]}"
+                              for case in _NON_FINITE_COORDINATES])
+def test_a_non_finite_coordinate_raises_domain_error(make_guided, make_surface, function,
+                                                    coordinate, values, message):
+    guided = function in (guided_field_phasor, analytic_spin_guided)
+    spec = make_guided("TM", 2, 1) if guided else make_surface("TE")
+    inside = [0.001, 0.001, 0.0, 0.0] if guided else [0.0, 0.0, 0.0, 0.0]
+    result = _call_at(function, spec, inside)
+    assert all(np.isfinite(part).all() for part in vars(result).values())
+    for value in values:
+        # one bad entry among good ones: every entry is checked
+        coordinates = [np.full(3, good) for good in inside]
+        coordinates[coordinate][1] = value
+        with pytest.raises(DomainError, match=message):
+            _call_at(function, spec, coordinates)
 
 
 # ---------------------------------------------------------------------------
