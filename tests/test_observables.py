@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from transpin import (ModeFamily, ResolutionError, UnsupportedModeError,
-                      amplitude_for_quanta, balance_integral,
-                      ellipticity_surface, energy_density,
+from transpin import (GuidedModeSpec, ModeFamily, ModeIndex, ResolutionError,
+                      UnsupportedModeError, amplitude_for_quanta, balance_integral,
+                      cutoff_frequency, ellipticity_surface, energy_density,
                       guided_field_phasor, guided_mass_report,
                       integrate_guided, integrate_surface, momentum_density,
                       observables, quantized_transverse_spin_guided,
@@ -438,6 +438,36 @@ def test_each_guided_quadrature_evaluates_one_plane(make_guided, monkeypatch, qu
                    for x, y in grids)
         assert np.concatenate([x[:, 0] for x, _ in grids]).tobytes() == xs.tobytes()
     assert crosses == []  # Re(E x B*)_z is formed from its two products
+
+
+def test_guided_plane_keeps_the_bits_of_the_complex_bilinears(bench_geometry):
+    rng = np.random.default_rng(33)
+    multi_block = 0
+    for trial in range(60):
+        family = (ModeFamily.TM, ModeFamily.TE)[trial % 2]
+        top = int(rng.integers(1, 201))
+        # the other index stays small, so that a whole-plane phasor stays small
+        low = int(rng.integers(family is ModeFamily.TM, min(top, 12) + 1))
+        # a TE index of 0 is n
+        m, n = (top, low) if low == 0 or rng.random() < 0.5 else (low, top)
+        index = ModeIndex(family, m, n)
+        omega = rng.uniform(1.01, 4.0) * cutoff_frequency(index, bench_geometry, SI)
+        spec = GuidedModeSpec(bench_geometry, index, omega, 10.0 ** rng.uniform(-3.0, 3.0),
+                              (1, -1)[trial // 2 % 2], SI)
+        (xs, hx), (ys, hy) = observables._transverse_rules(spec)
+        multi_block += xs.size * ys.size > observables._BLOCK_NODES
+        field = guided_field_phasor(spec, (xs[:, None], ys[None, :], 0.0))
+        E, B = field.E, field.B
+        cell, e2, b2, s_z = observables._guided_plane(spec)
+        assert cell == hx * hy
+        for got, X in ((e2, E), (b2, B)):
+            want = np.stack([np.abs(X[..., 0]) ** 2 + np.abs(X[..., 1]) ** 2,
+                             np.abs(X[..., 2]) ** 2])
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), spec
+        # the z component of numpy.cross(E, B.conj())
+        want = (E[..., 0] * B[..., 1].conj() - E[..., 1] * B[..., 0].conj()).real
+        assert s_z.dtype == want.dtype and s_z.tobytes() == want.tobytes(), spec
+    assert multi_block >= 2
 
 
 def _reference_plane(spec, b_amplitude_scale=1.0):
