@@ -168,8 +168,13 @@ class RunConfig:
         if self.was_provided("omega"):
             omega = v["omega"]
         else:
-            omega = (v["omega-ratio"] if self.was_provided("omega-ratio")
-                     else math.sqrt(2.0)) * omega_c
+            ratio = v["omega-ratio"] if self.was_provided("omega-ratio") else math.sqrt(2.0)
+            # the spec would blame 'omega', a key the user did not set
+            if not 0.0 < ratio < math.inf:
+                raise ConfigurationError(
+                    "omega is omega-ratio times the cutoff: config key 'omega-ratio' "
+                    f"must be finite and > 0, got {ratio!r}")
+            omega = ratio * omega_c
         return GuidedModeSpec(geometry, index, omega, v["amplitude"],
                               v["direction"], constants)
 
@@ -227,8 +232,17 @@ def _load_config_file(path: str | None) -> dict[str, Any]:
             text = handle.read()
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+
+    def unique_keys(pairs):
+        data = {}
+        for key, value in pairs:
+            if key in data:
+                raise ConfigurationError(f"config key {key!r} appears twice in {path}")
+            data[key] = value
+        return data
+
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigurationError(
             f"config parse error in {path} at line {exc.lineno} "

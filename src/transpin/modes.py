@@ -399,14 +399,17 @@ def _guided_phase(spec: GuidedModeSpec, z, t) -> np.ndarray:
     return np.exp(-1j * (spec.omega * t - spec.k_z * z))
 
 
-def _guided_components(spec: GuidedModeSpec, x, y, phase):
-    """The guided phasor's components ``(E, B)`` at ``x``, ``y`` times ``phase``.
+def _guided_factors(spec: GuidedModeSpec, x, y):
+    """The real factors of the guided phasor's components at ``x``, ``y``.
 
-    ``E`` and ``B`` are each a tuple ``(X_x, X_y, X_z)`` of the complex
-    arrays of :func:`guided_field_phasor`, broadcast over ``x``, ``y`` and
-    ``phase``.  The family's structural zero, ``B_z`` for TM and ``E_z`` for
-    TE, is ``None`` and is not built.  ``x`` and ``y`` are float arrays the
-    caller has checked, and ``phase`` is :func:`_guided_phase`.
+    At ``z = t = 0`` the phasor is ``E = (i F_Ex, i F_Ey, F_Ez)`` and
+    ``B = (i F_Bx, i F_By, F_Bz)``: each transverse component is ``i`` times
+    a real factor, and the longitudinal one is its factor.  Returns ``(F_E,
+    F_B)``, each a tuple ``(F_x, F_y, F_z)`` of float arrays broadcast over
+    ``x`` and ``y``, signed as in the Notes of :func:`guided_field_phasor`.
+    The family's structural zero, ``F_Bz`` for TM and ``F_Ez`` for TE, is
+    ``None`` and is not built.  ``x`` and ``y`` are float arrays the caller
+    has checked.
     """
     geom, idx, con = spec.geometry, spec.index, spec.constants
     omega, omega_c, k_z = spec.omega, spec.omega_c, spec.k_z
@@ -418,19 +421,33 @@ def _guided_components(spec: GuidedModeSpec, x, y, phase):
 
     if idx.family is ModeFamily.TM:
         e0 = spec.amplitude
-        return ((1j * kx * k_z * r * e0 * cx * sy * phase,
-                 1j * ky * k_z * r * e0 * sx * cy * phase,
-                 e0 * sx * sy * phase),
-                (-1j * ky * (omega / omega_c**2) * e0 * sx * cy * phase,
-                 1j * kx * (omega / omega_c**2) * e0 * cx * sy * phase,
+        return ((kx * k_z * r * e0 * cx * sy,
+                 ky * k_z * r * e0 * sx * cy,
+                 e0 * sx * sy),
+                (-ky * (omega / omega_c**2) * e0 * sx * cy,
+                 kx * (omega / omega_c**2) * e0 * cx * sy,
                  None))
     b0 = spec.amplitude / con.c
-    return ((-1j * ky * omega * r * b0 * cx * sy * phase,
-             1j * kx * omega * r * b0 * sx * cy * phase,
+    return ((-ky * omega * r * b0 * cx * sy,
+             kx * omega * r * b0 * sx * cy,
              None),
-            (-1j * kx * k_z * r * b0 * sx * cy * phase,
-             -1j * ky * k_z * r * b0 * cx * sy * phase,
-             b0 * cx * cy * phase))
+            (-kx * k_z * r * b0 * sx * cy,
+             -ky * k_z * r * b0 * cx * sy,
+             b0 * cx * cy))
+
+
+def _guided_components(spec: GuidedModeSpec, x, y, phase):
+    """The guided phasor's components ``(E, B)`` at ``x``, ``y`` times ``phase``.
+
+    ``E`` and ``B`` are each a tuple ``(X_x, X_y, X_z)`` of complex arrays,
+    the :func:`_guided_factors` times their units ``(i, i, 1)`` and
+    ``phase``, broadcast over ``x``, ``y`` and ``phase``.  The family's
+    structural zero is ``None``.  ``x`` and ``y`` are float arrays the
+    caller has checked, and ``phase`` is :func:`_guided_phase`.
+    """
+    return tuple(tuple(None if f is None else unit * f * phase
+                       for f, unit in zip(factors, (1j, 1j, 1.0)))
+                 for factors in _guided_factors(spec, x, y))
 
 
 def _require_finite(**values) -> None:
@@ -482,10 +499,11 @@ def guided_field_phasor(spec: GuidedModeSpec, point, t=0.0) -> FieldPhasor:
         B_z =            B0 cos(k_x x) cos(k_y y) * P
 
     where ``P = exp(-i*(omega*t - k_z*z))``.  Both satisfy the source-free
-    Maxwell equations exactly (checked by :func:`maxwell_residuals`).  The
-    components come from :func:`_guided_components`, which the guided
-    quadrature plane calls directly; here they are stacked on the trailing
-    axis, with ``0j`` for the family's zero ``B_z`` (TM) or ``E_z`` (TE).
+    Maxwell equations exactly (checked by :func:`maxwell_residuals`).  Each
+    component is its real factor from :func:`_guided_factors`, which the
+    guided quadrature plane calls directly, times its unit ``i`` or ``1``
+    and ``P``; here they are stacked on the trailing axis, with ``0j`` for
+    the family's zero ``B_z`` (TM) or ``E_z`` (TE).
     """
     geom = spec.geometry
     x = np.asarray(point[0], dtype=float)

@@ -43,8 +43,7 @@ from .effective_mass import (dispersion_residual, guided_mass_report,
                              surface_mass_report)
 from .errors import ResolutionError
 from .modes import (GuidedModeSpec, ModeFamily, SurfaceWaveSpec,
-                    _guided_components, _guided_phase, _require_propagating,
-                    surface_field_phasor)
+                    _guided_factors, _require_propagating, surface_field_phasor)
 from .spin import energy_density, momentum_density, spin_densities
 
 __all__ = [
@@ -64,8 +63,8 @@ __all__ = [
 _QUANTA_SNAP = 1e-6
 #: largest max(m, n) the guided quadrature plane is built for
 _MAX_MODE_INDEX = 200
-#: most nodes one phasor call of the guided plane evaluates, so that a row
-#: block's complex temporaries (64 KB each) stay in cache
+#: most nodes one factor-kernel call of the guided plane evaluates, so that a
+#: row block's real temporaries (32 KB each) stay in cache
 _BLOCK_NODES = 4096
 
 
@@ -151,20 +150,21 @@ def _row_blocks(rows: int, width: int):
 def _guided_plane(spec: GuidedModeSpec):
     """The cell weight and field bilinears of one guided quadrature plane.
 
-    Forms the phasor components once per node of the grid of
+    Forms the phasor's real factors once per node of the grid of
     :func:`_transverse_rules` in the plane ``z = 0``: one
-    :func:`~transpin.modes._guided_components` call per row block of at most
-    ``_BLOCK_NODES`` nodes, all with the one ``z = t = 0`` phase, and no
-    domain check, since every midpoint node lies inside the cell.  Returns
-    ``(cell, e2, b2, s_z)``: the node weight ``hx * hy``; the transverse and
-    longitudinal intensities ``e2 = (|E_x|^2 + |E_y|^2, |E_z|^2)`` and
-    likewise ``b2``, each with shape ``(2, nx, ny)``; and ``Re(E x B*)_z``
-    with shape ``(nx, ny)``, formed as :func:`numpy.cross` forms that
-    component; 40 B a node in all.  Each bilinear is formed from the
-    components as they come, with no ``(..., 3)`` stack, and the family's
-    structural zero gives the intensity ``0.0`` without being squared.
-    Every bilinear is formed node by node, so a block holds the bits a
-    whole-plane :func:`~transpin.modes.guided_field_phasor` gives.  A
+    :func:`~transpin.modes._guided_factors` call per row block of at most
+    ``_BLOCK_NODES`` nodes, and no domain check, since every midpoint node
+    lies inside the cell.  Returns ``(cell, e2, b2, s_z)``: the node weight
+    ``hx * hy``; the transverse and longitudinal intensities ``e2 = (|E_x|^2
+    + |E_y|^2, |E_z|^2)`` and likewise ``b2``, each with shape ``(2, nx,
+    ny)``; and ``Re(E x B*)_z`` with shape ``(nx, ny)``; 40 B a node in all.
+    At ``z = t = 0`` each component is ``i`` or ``1`` times its real factor
+    ``F``, so ``|X|^2 = F^2`` and ``Re(E x B*)_z = F_Ex F_By - F_Ey F_Bx``,
+    all on float arrays, and the family's structural zero gives the
+    intensity ``0.0`` without being squared.  Every bilinear is formed node
+    by node, and holds the bits that the complex forms (``abs(X)**2`` and
+    the :func:`numpy.cross` component) give on a whole-plane
+    :func:`~transpin.modes.guided_field_phasor`.  A
     propagating mode carries ``exp(i k_z z)`` with real ``k_z``, so every
     bilinear density is the same on each plane, and a cell integral is ``L``
     times the plane integral ``cell * f.sum()``.
@@ -172,17 +172,15 @@ def _guided_plane(spec: GuidedModeSpec):
     (xs, hx), (ys, hy) = _transverse_rules(spec)
     e2, b2 = np.empty((2, xs.size, ys.size)), np.empty((2, xs.size, ys.size))
     s_z = np.empty((xs.size, ys.size))
-    origin = np.zeros(())
-    phase = _guided_phase(spec, origin, origin)
     for block in _row_blocks(xs.size, ys.size):
-        E, B = _guided_components(spec, xs[block, None], ys[None, :], phase)
+        E, B = _guided_factors(spec, xs[block, None], ys[None, :])
         # an overflow shows as inf or nan in a total, which the range checks name
         with np.errstate(over="ignore", invalid="ignore"):
-            s_z[block] = (E[0] * B[1].conj() - E[1] * B[0].conj()).real
-            for out, (X_x, X_y, X_z) in ((e2, E), (b2, B)):
-                out[0, block] = np.abs(X_x) ** 2 + np.abs(X_y) ** 2
-                out[1, block] = 0.0 if X_z is None else np.abs(X_z) ** 2
-        del E, B, X_x, X_y, X_z  # freed before the next block's components are built
+            s_z[block] = E[0] * B[1] - E[1] * B[0]
+            for out, (F_x, F_y, F_z) in ((e2, E), (b2, B)):
+                out[0, block] = F_x**2 + F_y**2
+                out[1, block] = 0.0 if F_z is None else F_z**2
+        del E, B, F_x, F_y, F_z  # freed before the next block's factors are built
     return hx * hy, e2, b2, s_z
 
 
@@ -191,10 +189,10 @@ def integrate_guided(spec: GuidedModeSpec) -> GuidedObservables:
 
     The rule is ``max(2(m+n)+2, 2*max(m, n)+1)`` midpoint nodes per
     transverse axis on the plane ``z = 0``, times the length ``L`` (the
-    densities do not depend on z), exact to rounding.  The phasor's
-    components are formed in row blocks of that plane by
-    :func:`_guided_plane`, with no ``(..., 3)`` stack and no zero component,
-    so the plane costs the 40 B a node of its intensities plus one block,
+    densities do not depend on z), exact to rounding.  The phasor's real
+    factors are formed in row blocks of that plane by :func:`_guided_plane`,
+    with no complex array and no zero component, so the plane costs the
+    40 B a node of its intensities plus one block,
     and each total is one sum over the whole plane.  ``theta`` and
     ``ellipticity = h_long/h_perp = tan(theta)`` are read from the mean
     squares of the field that carries the family's longitudinal component:

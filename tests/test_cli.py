@@ -544,6 +544,13 @@ def test_unknown_config_key_is_named(tmp_path, capsys):
     assert "bandwidth" in capsys.readouterr().err
 
 
+def test_repeated_config_key_is_named(tmp_path, capsys):
+    path = tmp_path / "twice.json"
+    path.write_text('{"m": 1, "m": 2}')
+    assert _config_error(["report", "--config", str(path)], capsys) == (
+        f"config error: config key 'm' appears twice in {path}\n")
+
+
 def test_invalid_value_is_a_config_error(capsys):
     assert main(["report", "--family", "TM", "--m", "1", "--n", "1",
                  "--omega-ratio", "0.5"]) == 1
@@ -640,6 +647,14 @@ def test_invalid_n_quanta_names_its_key(command, value, capsys):
 ])
 def test_out_of_range_spec_fields_are_named(args, field, capsys):
     assert _config_error(args, capsys).startswith(f"config error: {field} ")
+
+
+@pytest.mark.parametrize("ratio", ["nan", "-2", "0", "inf"])
+def test_omega_ratio_out_of_its_domain_names_its_key(ratio, capsys):
+    # a positive, finite ratio whose omega overflows is the spec's to name
+    err = _config_error(["report", "--omega-ratio", ratio], capsys)
+    assert err == ("config error: omega is omega-ratio times the cutoff: config key "
+                   f"'omega-ratio' must be finite and > 0, got {float(ratio)!r}\n")
 
 
 @pytest.mark.parametrize("depth", ["20", "400", "1000", "1e4", "1e6"])

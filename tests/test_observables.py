@@ -415,15 +415,15 @@ def test_guided_grid_is_bounded(make_guided, family, m, n):
 
 @pytest.mark.parametrize("quadrature", [integrate_guided, balance_integral])
 def test_each_guided_quadrature_evaluates_one_plane(make_guided, monkeypatch, quadrature):
-    kernel, grids, crosses = observables._guided_components, [], []
+    kernel, grids, dtypes, crosses = observables._guided_factors, [], [], []
 
-    def spy(spec, x, y, phase):
-        # one scalar phase, exp(0) at z = 0 and t = 0
-        assert np.shape(phase) == () and phase == 1.0
+    def spy(spec, x, y):
         grids.append(np.broadcast_arrays(x, y))
-        return kernel(spec, x, y, phase)
+        factors = kernel(spec, x, y)
+        dtypes.extend(f.dtype for F in factors for f in F if f is not None)
+        return factors
 
-    monkeypatch.setattr(observables, "_guided_components", spy)
+    monkeypatch.setattr(observables, "_guided_factors", spy)
     monkeypatch.setattr(observables, "momentum_density", crosses.append)
     quadrature(make_guided("TE", 3, 2))
     # max(2(m+n)+2, 2*max(m, n)+1) nodes per axis, within one block
@@ -438,6 +438,8 @@ def test_each_guided_quadrature_evaluates_one_plane(make_guided, monkeypatch, qu
                    for x, y in grids)
         assert np.concatenate([x[:, 0] for x, _ in grids]).tobytes() == xs.tobytes()
     assert crosses == []  # Re(E x B*)_z is formed from its two products
+    # the plane is formed on real arrays only
+    assert dtypes and set(dtypes) == {np.dtype(np.float64)}
 
 
 def test_guided_plane_keeps_the_bits_of_the_complex_bilinears(bench_geometry):
