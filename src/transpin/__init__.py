@@ -34,7 +34,8 @@ from .observables import (GuidedObservables, SurfaceObservables,
                           quantized_transverse_spin_surface)
 from .spin import (PotentialPhasor, SpinDensityPair, analytic_spin_guided,
                    analytic_spin_surface, energy_density, momentum_density,
-                   spin_densities, time_average_oracle, vector_potentials)
+                   spin_densities, spin_map, time_average_oracle,
+                   vector_potentials)
 from .spin_algebra import (HelicityEigensystem, PolarizationCoefficients,
                            SixSpinor, SpinMatrixSet, build_spin_matrices,
                            commutator_table, decompose_polarization,
@@ -55,7 +56,7 @@ __all__ = [
     "PotentialPhasor", "SpinDensityPair",
     "vector_potentials", "spin_densities", "energy_density",
     "momentum_density", "analytic_spin_guided",
-    "analytic_spin_surface", "time_average_oracle",
+    "analytic_spin_surface", "spin_map", "time_average_oracle",
     "GuidedObservables", "SurfaceObservables", "integrate_guided",
     "integrate_surface", "amplitude_for_quanta", "quantized_transverse_spin_guided",
     "quantized_transverse_spin_surface", "ellipticity_surface",

@@ -21,15 +21,14 @@ configuration error, 2 I/O error, 3 verification failure.
 
 Spin-map rows are written in y-major order (x fastest), each as soon as it
 is formatted, and floats in Python's shortest round-trip representation, so
-output bytes are identical across runs; :func:`_map_rows` says how rows are
-sampled and formatted.
+output bytes are identical across runs; :func:`transpin.spin.spin_map` says
+how rows are sampled, and :func:`_map_rows` how they are formatted.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import os
@@ -44,11 +43,9 @@ from .constants import NATURAL, SI, PhysicalConstants
 from .effective_mass import klein_gordon_stencil_residual
 from .errors import ConfigurationError
 from .modes import (GuidedModeSpec, ModeFamily, ModeIndex, SurfaceWaveSpec,
-                    WaveguideGeometry, cutoff_frequency)
-from .observables import (_check_float_range, _check_quanta, _row_blocks,
-                          amplitude_for_quanta, evaluate)
-from .spin import (SpinDensityPair, _guided_scales, _surface_peak, analytic_spin_guided,
-                   analytic_spin_surface)
+                    WaveguideGeometry, _check_float_range, cutoff_frequency)
+from .observables import _check_quanta, amplitude_for_quanta, evaluate
+from .spin import spin_map
 from .verify import run_checks
 
 __all__ = ["RunConfig", "main"]
@@ -85,6 +82,11 @@ _KEYS: dict[str, tuple[type, Any, tuple | None, str | None]] = {
     "x-max-kappa": (float, 5.0, None, "spin-map decay extent in units of 1/kappa"),
     "z-periods": (float, 1.0, None, "propagation-axis extent in guided wavelengths"),
 }
+
+#: the keys that only one kind of mode reads, and that kind
+_KIND_ONLY = {**dict.fromkeys(("m", "n", "a", "b", "length", "omega-ratio"), "guided"),
+              **dict.fromkeys(("eta", "phi-deg", "area", "x-max-kappa", "z-periods"),
+                              "surface")}
 
 
 @dataclass(frozen=True)
@@ -126,6 +128,9 @@ class RunConfig:
                 raise ConfigurationError(
                     f"config key {key!r} must be {' or '.join(map(repr, allowed))}, "
                     f"got {v[key]!r}")
+        for key, kind in _KIND_ONLY.items():
+            if kind != v["kind"] and self.was_provided(key):
+                raise ConfigurationError(f"config key {key!r} applies to kind {kind!r} only")
         if v["nx"] < 2 or v["ny"] < 2:
             raise ConfigurationError("config keys 'nx' and 'ny' must be >= 2")
         if self.was_provided("omega") and self.was_provided("omega-ratio"):
@@ -280,60 +285,33 @@ def _surface_extent(config: RunConfig, key: str) -> float:
 def _map_rows(config: RunConfig, spec) -> Iterator[str]:
     """Check the whole map, then return an iterator over its CSV text.
 
-    Every check runs before this returns: the extents, the peak of each
-    spin column, which must be a finite normal float, and the arrays of one
-    row, which must fit in memory.  The iterator yields the header line and
-    then one chunk per row.  The kind sets the extents and the peaks.  Rows
-    come in the blocks of :func:`~transpin.observables._row_blocks`, whose
-    stations ``arange(start, stop) * y_max/(ny - 1)`` end on ``y_max`` as
-    :func:`numpy.linspace` ends.  A guided map evaluates its spin once per
-    block and a surface map its one depth profile once, so at most a block
-    is held.  Each row is ``repr(y).join(pieces)`` over the template of
-    :func:`_row_pieces`, which is rebuilt only when the row's spin bits
-    differ from the last row's: ``repr`` follows the bits, and ``==`` would
-    equate ``-0.0`` with ``0.0``.
+    Every check runs before this returns: the surface extents' config keys,
+    those of :func:`~transpin.spin.spin_map`, and the arrays of one row,
+    which must fit in memory.  The iterator yields the header line and then
+    one chunk per row, taking the rows as ``spin_map`` yields them, so at
+    most a block is held.  Each row is ``repr(y).join(pieces)`` over the
+    template of :func:`_row_pieces`, which is rebuilt only when the row's
+    spin bits differ from the last row's: ``repr`` follows the bits, and
+    ``==`` would equate ``-0.0`` with ``0.0``.
     """
-    nx, ny = config["nx"], config["ny"]
-    guided = config["kind"] == "guided"
-    pick = SpinDensityPair.combined if config["combine-spins"] else SpinDensityPair.total
-    if guided:
-        x_max, y_max = spec.geometry.a, spec.geometry.b
-        peaks = {}
-        if spec.is_propagating:
-            kx, ky, K = _guided_scales(spec)
-            if ky:  # n = 0 zeroes the s_x column by structure
-                peaks["sx_peak"] = ky * K
-            peaks["sy_peak"] = kx * K
-            peaks["mag_peak"] = math.hypot(ky * K, kx * K)
-    else:
-        x_max = _surface_extent(config, "x-max-kappa") / spec.kappa
-        y_max = _surface_extent(config, "z-periods") * 2.0 * math.pi / abs(spec.k_z)
-        peaks = {"x_max": x_max, "z_max": y_max, "sy_peak": _surface_peak(spec)}
-    _check_float_range(**peaks)
     try:
-        xs = np.linspace(0.0, x_max, nx)
-        # time-averaged densities carry no z dependence: one profile serves every row
-        profile = None if guided else pick(analytic_spin_surface(spec, xs))
+        # a guided run cannot set the extents, so their defaults pass
+        xs, blocks = spin_map(spec, config["nx"], config["ny"],
+                              combine=config["combine-spins"],
+                              x_max_kappa=_surface_extent(config, "x-max-kappa"),
+                              z_periods=_surface_extent(config, "z-periods"))
         heads = [f"{x!r}," for x in xs.tolist()] + [""]
-    except (ValueError, IndexError, MemoryError) as exc:
-        # numpy refuses a size it cannot allocate with any of these three
+    except MemoryError as exc:
         raise ConfigurationError(
             "config key 'nx' is too large for one row of the map "
             f"({str(exc) or type(exc).__name__})") from None
-    try:
-        step = y_max / (ny - 1)
     except OverflowError:
         raise ConfigurationError("config key 'ny' is too large for a float") from None
 
     def rows() -> Iterator[str]:
         yield CSV_HEADER + "\n"
         bits = None
-        for block in _row_blocks(ny, nx):
-            ys = np.arange(block.start, block.stop) * step
-            if block.stop == ny:
-                ys[-1] = y_max
-            spins = (pick(analytic_spin_guided(spec, (xs[None, :], ys[:, None]))) if guided
-                     else itertools.repeat(profile, ys.size))
+        for ys, spins in blocks:
             for y, s in zip(ys.tolist(), spins):
                 if s.tobytes() != bits:
                     bits, pieces = s.tobytes(), _row_pieces(s, heads)

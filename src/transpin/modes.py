@@ -102,6 +102,19 @@ def _check_scale(name: str, value) -> None:
             f"got {value!r}")
 
 
+def _check_float_range(**values: float) -> None:
+    """Raise ``ValueError`` naming the first value that is not a finite normal float.
+
+    Two parameters that are each in range can still push a total past the
+    float range together, or its underflow can leave it zero or subnormal.
+    """
+    for name, value in values.items():
+        if not (sys.float_info.min <= abs(value) < math.inf):
+            raise ValueError(
+                f"{name} = {value!r} leaves the float range; the mode "
+                "parameters are too extreme together")
+
+
 @dataclass(frozen=True)
 class WaveguideGeometry:
     """Rectangular cross-section ``a x b`` and quantization length ``L``.
@@ -455,6 +468,17 @@ def _require_finite(**values) -> None:
     for name, value in values.items():
         if not np.isfinite(value).all():
             raise DomainError(f"{name} must be finite")
+
+
+#: most nodes of one row block, so that the real temporaries of a guided
+#: quadrature block (32 KB each) stay in cache
+_BLOCK_NODES = 4096
+
+
+def _row_blocks(rows: int, width: int):
+    """Slices of ``range(rows)`` of at most ``_BLOCK_NODES // width`` rows, or one row."""
+    step = max(1, _BLOCK_NODES // width)
+    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
 def guided_field_phasor(spec: GuidedModeSpec, point, t=0.0) -> FieldPhasor:

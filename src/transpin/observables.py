@@ -42,8 +42,8 @@ import numpy as np
 from .effective_mass import (dispersion_residual, guided_mass_report,
                              surface_mass_report)
 from .errors import ResolutionError
-from .modes import (GuidedModeSpec, ModeFamily, SurfaceWaveSpec,
-                    _guided_factors, _require_propagating, surface_field_phasor)
+from .modes import (GuidedModeSpec, ModeFamily, SurfaceWaveSpec, _check_float_range,
+                    _guided_factors, _require_propagating, _row_blocks, surface_field_phasor)
 from .spin import energy_density, momentum_density, spin_densities
 
 __all__ = [
@@ -63,9 +63,6 @@ __all__ = [
 _QUANTA_SNAP = 1e-6
 #: largest max(m, n) the guided quadrature plane is built for
 _MAX_MODE_INDEX = 200
-#: most nodes one factor-kernel call of the guided plane evaluates, so that a
-#: row block's real temporaries (32 KB each) stay in cache
-_BLOCK_NODES = 4096
 
 
 @dataclass(frozen=True)
@@ -105,19 +102,6 @@ def _snap_quanta(n_quanta: float) -> int | None:
     return None
 
 
-def _check_float_range(**values: float) -> None:
-    """Raise ``ValueError`` naming the first value that is not a finite normal float.
-
-    Two parameters that are each in range can still push a total past the
-    float range together, or its underflow can leave it zero or subnormal.
-    """
-    for name, value in values.items():
-        if not (sys.float_info.min <= abs(value) < math.inf):
-            raise ValueError(
-                f"{name} = {value!r} leaves the float range; the mode "
-                "parameters are too extreme together")
-
-
 def _transverse_rules(spec: GuidedModeSpec):
     """Midpoint ``(nodes, spacing)`` rules on ``[0, a]`` and ``[0, b]``.
 
@@ -139,12 +123,6 @@ def _transverse_rules(spec: GuidedModeSpec):
     hx, hy = spec.geometry.a / nodes, spec.geometry.b / nodes
     centres = np.arange(nodes) + 0.5
     return (centres * hx, hx), (centres * hy, hy)
-
-
-def _row_blocks(rows: int, width: int):
-    """Slices of ``range(rows)`` of at most ``_BLOCK_NODES // width`` rows, or one row."""
-    step = max(1, _BLOCK_NODES // width)
-    return (slice(start, min(start + step, rows)) for start in range(0, rows, step))
 
 
 def _guided_plane(spec: GuidedModeSpec):

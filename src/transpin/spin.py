@@ -31,7 +31,8 @@ import numpy as np
 
 from .constants import SI, PhysicalConstants
 from .errors import ConfigurationError, DomainError
-from .modes import FieldPhasor, GuidedModeSpec, ModeFamily, SurfaceWaveSpec
+from .modes import (FieldPhasor, GuidedModeSpec, ModeFamily, SurfaceWaveSpec,
+                    _check_float_range, _row_blocks)
 
 __all__ = [
     "PotentialPhasor",
@@ -42,6 +43,7 @@ __all__ = [
     "momentum_density",
     "analytic_spin_guided",
     "analytic_spin_surface",
+    "spin_map",
     "time_average_oracle",
     "instantaneous_spin_sampler",
     "instantaneous_energy_sampler",
@@ -231,6 +233,61 @@ def analytic_spin_surface(spec: SurfaceWaveSpec, x) -> SpinDensityPair:
     if spec.family is ModeFamily.TM:
         return SpinDensityPair(s_e=s, s_m=zeros)
     return SpinDensityPair(s_e=zeros, s_m=s)
+
+
+def spin_map(spec: GuidedModeSpec | SurfaceWaveSpec, nx: int, ny: int, *,
+             combine: bool = False, x_max_kappa: float = 5.0, z_periods: float = 1.0):
+    """Check a spin map of ``nx`` by ``ny`` points, then return ``(xs, blocks)``.
+
+    A guided map spans ``[0, a] x [0, b]``, a surface map ``x_max_kappa/kappa``
+    of depth by ``z_periods`` guided wavelengths along ``z``.  ``xs`` is
+    ``linspace(0, x_max, nx)``.  ``blocks`` yields ``(ys, spins)`` per row
+    block of :func:`~transpin.modes._row_blocks`: the stations ``arange(start,
+    stop) * y_max/(ny - 1)``, the last set to ``y_max`` as ``linspace`` sets
+    it, and ``spins`` of shape ``(ys.size, nx, 3)``, ``s_e + s_m`` or under
+    ``combine`` ``(s_e + s_m)/2``: one :func:`analytic_spin_guided` call, or
+    read-only views of a surface map's one depth profile, since the densities
+    do not depend on ``z``.  Every check runs before this returns:
+    ``ValueError`` names an extent (``x_max``, ``z_max``) or the peak of a
+    spin column returned (``sx_peak``, ``sy_peak``, ``mag_peak``) that is not
+    a finite normal float; a row numpy cannot allocate raises
+    ``MemoryError``, and an ``ny`` too large for a float ``OverflowError``.
+    """
+    pick = SpinDensityPair.combined if combine else SpinDensityPair.total
+    scale = 0.5 if combine else 1.0
+    guided = isinstance(spec, GuidedModeSpec)
+    if guided:
+        x_max, y_max = spec.geometry.a, spec.geometry.b
+        peaks = {}
+        if spec.is_propagating:
+            kx, ky, K = _guided_scales(spec)
+            sx, sy = scale * (ky * K), scale * (kx * K)
+            if ky:  # n = 0 zeroes the s_x column by structure
+                peaks["sx_peak"] = sx
+            peaks["sy_peak"] = sy
+            peaks["mag_peak"] = math.hypot(sx, sy)
+    else:
+        x_max = x_max_kappa / spec.kappa
+        y_max = z_periods * 2.0 * math.pi / abs(spec.k_z)
+        peaks = {"x_max": x_max, "z_max": y_max, "sy_peak": scale * _surface_peak(spec)}
+    _check_float_range(**peaks)
+    try:
+        xs = np.linspace(0.0, x_max, nx)
+    except (ValueError, IndexError) as exc:
+        # numpy refuses some sizes it cannot allocate with these, not MemoryError
+        raise MemoryError(str(exc) or type(exc).__name__) from None
+    profile = None if guided else pick(analytic_spin_surface(spec, xs))
+    step = y_max / (ny - 1)
+
+    def blocks():
+        for block in _row_blocks(ny, nx):
+            ys = np.arange(block.start, block.stop) * step
+            if block.stop == ny:
+                ys[-1] = y_max
+            yield ys, (pick(analytic_spin_guided(spec, (xs[None, :], ys[:, None]))) if guided
+                       else np.broadcast_to(profile, (ys.size, *profile.shape)))
+
+    return xs, blocks()
 
 
 # --------------------------------------------------------------------------

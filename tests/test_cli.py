@@ -21,7 +21,7 @@ from numpy.testing import assert_allclose
 
 from transpin import (GuidedModeSpec, ModeFamily, ModeIndex, SpinDensityPair,
                       WaveguideGeometry, analytic_spin_guided, analytic_spin_surface, cli,
-                      observables)
+                      modes, spin)
 from transpin.cli import _KEYS, CSV_HEADER, RunConfig, main
 
 
@@ -206,7 +206,7 @@ def test_a_zero_of_the_other_sign_is_formatted_again(monkeypatch, capsys):
         s[1::2] = -0.0  # the rows alternate 0.0 and -0.0
         return SpinDensityPair(s_e=s, s_m=s)
 
-    monkeypatch.setattr(cli, "analytic_spin_guided", signed_zeros)
+    monkeypatch.setattr(spin, "analytic_spin_guided", signed_zeros)
     assert main(["spinmap", "--nx", "3", "--ny", "4"]) == 0
     lines = capsys.readouterr().out.splitlines()[1:]
     assert [line.split(",", 2)[2] for line in lines] == [
@@ -214,33 +214,33 @@ def test_a_zero_of_the_other_sign_is_formatted_again(monkeypatch, capsys):
         *["0.0,0.0,0.0,0.0"] * 3, *["-0.0,-0.0,-0.0,0.0"] * 3]
 
 
-def _spy(monkeypatch, name):
-    """Wrap ``cli.<name>`` and return the list of the arguments of its calls."""
-    calls, wrapped = [], getattr(cli, name)
+def _spy(monkeypatch, module, name):
+    """Wrap ``module.<name>`` and return the list of the arguments of its calls."""
+    calls, wrapped = [], getattr(module, name)
 
     def spy(*args):
         calls.append(args)
         return wrapped(*args)
 
-    monkeypatch.setattr(cli, name, spy)
+    monkeypatch.setattr(module, name, spy)
     return calls
 
 
 @pytest.mark.parametrize("nx, ny", [(9, 6), (201, 101), (3, 3000), (4097, 3)])
 def test_guided_map_evaluates_its_spin_once_per_row_block(nx, ny, monkeypatch, tmp_path):
-    calls = _spy(monkeypatch, "analytic_spin_guided")
+    calls = _spy(monkeypatch, spin, "analytic_spin_guided")
     assert main(["spinmap", "--family", "TM", "--m", "2", "--n", "1", "--nx", str(nx),
                  "--ny", str(ny), "--output", str(tmp_path / "map.csv")]) == 0
-    block_rows = max(1, observables._BLOCK_NODES // nx)
+    block_rows = max(1, modes._BLOCK_NODES // nx)
     assert len(calls) == math.ceil(ny / block_rows)
-    assert all(np.broadcast(*point).size <= max(observables._BLOCK_NODES, nx)
+    assert all(np.broadcast(*point).size <= max(modes._BLOCK_NODES, nx)
                for _, point in calls)
     ys = np.concatenate([point[1].ravel() for _, point in calls])
     assert ys.tolist() == np.linspace(0.0, 1.0, ny).tolist()
 
 
 def test_surface_map_evaluates_its_profile_once(monkeypatch, tmp_path):
-    calls = _spy(monkeypatch, "analytic_spin_surface")
+    calls = _spy(monkeypatch, spin, "analytic_spin_surface")
     assert main(["spinmap", "--kind", "surface", "--nx", "3", "--ny", "3000",
                  "--output", str(tmp_path / "map.csv")]) == 0
     assert len(calls) == 1
@@ -254,7 +254,7 @@ def test_surface_map_evaluates_its_profile_once(monkeypatch, tmp_path):
 ], ids=["TE10-3-blocks", "TM11-below-cutoff-6-blocks", "TM21-6-blocks"])
 def test_repeated_rows_are_formatted_once_across_blocks(args, formats, monkeypatch,
                                                         tmp_path):
-    calls = _spy(monkeypatch, "_row_pieces")
+    calls = _spy(monkeypatch, cli, "_row_pieces")
     assert main(["spinmap", *args, "--output", str(tmp_path / "map.csv")]) == 0
     assert len(calls) == formats
 
@@ -675,6 +675,22 @@ def test_surface_report_ignores_the_map_extents(key, value, capsys):
     assert capsys.readouterr() == expected
 
 
+@pytest.mark.parametrize("command", ["report", "spinmap"])
+@pytest.mark.parametrize("key, value, kind", [
+    ("omega-ratio", "nan", "guided"), ("m", "5", "guided"), ("n", "3", "guided"),
+    ("a", "2", "guided"), ("b", "0.5", "guided"), ("length", "7", "guided"),
+    ("eta", "9", "surface"), ("phi-deg", "10", "surface"), ("area", "3", "surface"),
+    ("x-max-kappa", "8", "surface"), ("z-periods", "2", "surface"),
+])
+def test_a_key_of_the_other_kind_is_named(command, key, value, kind, tmp_path, capsys):
+    other = "surface" if kind == "guided" else "guided"
+    err = _config_error([command, "--kind", other, f"--{key}", value], capsys)
+    assert err == f"config error: config key {key!r} applies to kind {kind!r} only\n"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"kind": other, key: _KEYS[key][0](value)}))
+    assert _config_error([command, "--config", str(path)], capsys) == err
+
+
 @pytest.mark.parametrize("amplitude, n", [("1e-76", "0"), ("1e-102", "5")])
 def test_guided_ellipse_of_tiny_intensities_is_exact(amplitude, n, capsys):
     # the product of the two mean-square intensities underflows
@@ -789,6 +805,19 @@ def test_spinmap_out_of_float_range_is_named(args, quantity, capsys):
     assert "leaves the float range" in err
 
 
+def test_a_combined_map_checks_the_peak_it_writes(tmp_path, capsys):
+    # s_e + s_m peaks at a normal float; the (s_e + s_m)/2 written is subnormal
+    path = tmp_path / "map.csv"
+    args = ["spinmap", "--kind", "surface", "--amplitude", "1e-100", "--omega", "3e96",
+            "--nx", "2", "--ny", "2", "--output", str(path)]
+    assert main(args) == 0
+    assert parse_csv(path.read_text())[0, 3] == 3.1789647880819057e-308
+    path.unlink()
+    err = _config_error([*args, "--combine-spins"], capsys)
+    assert err.startswith("config error: sy_peak = ")
+    assert not path.exists()
+
+
 @pytest.mark.parametrize("args", [
     ["--kind", "surface", "--z-periods", "0"],
     ["--kind", "surface", "--x-max-kappa", "nan"],
@@ -830,7 +859,7 @@ def test_row_allocation_failure_names_nx(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise MemoryError("Unable to allocate 22.4 GiB")
 
-    monkeypatch.setattr(cli.np, "linspace", refuse)
+    monkeypatch.setattr(spin.np, "linspace", refuse)
     path = tmp_path / "map.csv"
     assert main(["spinmap", "--nx", "3000000000", "--ny", "2", "--output", str(path)]) == 1
     assert capsys.readouterr().err == (
@@ -891,13 +920,15 @@ def _sample_value(key):
 @pytest.mark.parametrize("key", list(_KEYS))
 def test_flag_and_config_entry_give_the_same_config(key):
     value = _sample_value(key)
+    # a surface-only key is accepted on a surface run only
+    base = {"kind": "surface"} if cli._KIND_ONLY.get(key) == "surface" else {}
     argv = [f"--{key}"] if value is True else [f"--{key}", str(value)]
     args = cli._build_parser().parse_args(["report", *argv])
-    from_flag = RunConfig.from_sources({}, cli._flags_from_args(args))
-    from_file = RunConfig.from_sources({key: value}, {})
+    from_flag = RunConfig.from_sources(base, cli._flags_from_args(args))
+    from_file = RunConfig.from_sources({**base, key: value}, {})
     assert from_flag.values == from_file.values
     assert from_flag.values[key] == value
-    assert from_flag.provided == from_file.provided == {key}
+    assert from_flag.provided == from_file.provided == {key, *base}
 
 
 @pytest.mark.parametrize("key", sorted(k for k, entry in _KEYS.items() if entry[0] is float))

@@ -16,7 +16,7 @@ from transpin import (GuidedModeSpec, ModeFamily, ModeIndex, ResolutionError,
                       UnsupportedModeError, amplitude_for_quanta, balance_integral,
                       cutoff_frequency, ellipticity_surface, energy_density,
                       guided_field_phasor, guided_mass_report,
-                      integrate_guided, integrate_surface, momentum_density,
+                      integrate_guided, integrate_surface, modes, momentum_density,
                       observables, quantized_transverse_spin_guided,
                       quantized_transverse_spin_surface, spin_densities,
                       surface_field_phasor)
@@ -434,7 +434,7 @@ def test_each_guided_quadrature_evaluates_one_plane(make_guided, monkeypatch, qu
         (xs, _), (ys, _) = observables._transverse_rules(spec)
         # the row blocks tile the rows of the one plane once
         assert len(grids) > 1
-        assert all(x.size <= observables._BLOCK_NODES and (y[0] == ys).all()
+        assert all(x.size <= modes._BLOCK_NODES and (y[0] == ys).all()
                    for x, y in grids)
         assert np.concatenate([x[:, 0] for x, _ in grids]).tobytes() == xs.tobytes()
     assert crosses == []  # Re(E x B*)_z is formed from its two products
@@ -457,7 +457,7 @@ def test_guided_plane_keeps_the_bits_of_the_complex_bilinears(bench_geometry):
         spec = GuidedModeSpec(bench_geometry, index, omega, 10.0 ** rng.uniform(-3.0, 3.0),
                               (1, -1)[trial // 2 % 2], SI)
         (xs, hx), (ys, hy) = observables._transverse_rules(spec)
-        multi_block += xs.size * ys.size > observables._BLOCK_NODES
+        multi_block += xs.size * ys.size > modes._BLOCK_NODES
         field = guided_field_phasor(spec, (xs[:, None], ys[None, :], 0.0))
         E, B = field.E, field.B
         cell, e2, b2, s_z = observables._guided_plane(spec)
@@ -542,7 +542,7 @@ def test_guided_quadrature_memory_follows_one_plane(make_guided):
         # the plane's transverse and longitudinal |E|^2 and |B|^2 and
         # Re(E x B*)_z take 40 B a node; one row block's five non-zero
         # components and their temporaries stay under 160 B a block node
-        assert peak <= nodes**2 * 40 + observables._BLOCK_NODES * 160, (m, n)
+        assert peak <= nodes**2 * 40 + modes._BLOCK_NODES * 160, (m, n)
 
 
 def test_surface_totals_subluminal(make_surface):

@@ -10,11 +10,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from transpin import (ConfigurationError, DomainError, FieldPhasor,
-                      analytic_spin_guided, analytic_spin_surface,
-                      energy_density, guided_field_phasor, momentum_density,
-                      spin_densities, surface_field_phasor,
-                      time_average_oracle, vector_potentials)
+from transpin import (ConfigurationError, DomainError, FieldPhasor, WaveguideGeometry,
+                      analytic_spin_guided, analytic_spin_surface, energy_density,
+                      guided_field_phasor, momentum_density, spin, spin_densities,
+                      spin_map, surface_field_phasor, time_average_oracle,
+                      vector_potentials)
 from transpin.constants import NATURAL, SI
 from transpin.spin import (_cross, _surface_peak, instantaneous_energy_sampler,
                            instantaneous_spin_sampler)
@@ -184,6 +184,66 @@ def test_surface_spin_keeps_its_bits_where_the_decay_is_normal(make_surface):
         xs = np.linspace(0.0, 708.0 / (2.0 * spec.kappa), 2001)  # exp(-708) is normal
         expected = [_surface_peak(spec) * math.exp(-2.0 * spec.kappa * x) for x in xs.tolist()]
         assert analytic_spin_surface(spec, xs).s_e[:, 1].tolist() == expected
+
+
+# ---------------------------------------------------------------------------
+# spin maps
+
+
+@pytest.mark.parametrize("combine", [False, True])
+@pytest.mark.parametrize("kind, nx, ny", [
+    ("guided", 4097, 3), ("guided", 3, 3000), ("guided", 41, 21),
+    ("surface", 301, 11), ("surface", 3, 3000),
+])
+def test_spin_map_blocks_equal_one_render_on_the_linspace_grid(kind, nx, ny, combine,
+                                                               make_guided, make_surface):
+    if kind == "guided":
+        spec = make_guided("TM", 2, 1, direction=-1)
+        x_max, y_max = spec.geometry.a, spec.geometry.b
+    else:
+        spec = make_surface("TE", eta=2.0, phi_deg=70.0)
+        x_max, y_max = 7.5 / spec.kappa, 2.5 * 2.0 * math.pi / abs(spec.k_z)
+    xs, blocks = spin_map(spec, nx, ny, combine=combine, x_max_kappa=7.5, z_periods=2.5)
+    blocks = list(blocks)
+    assert all(spins.shape == (ys.size, nx, 3) for ys, spins in blocks)
+    ys = np.concatenate([ys for ys, _ in blocks])
+    spins = np.concatenate([spins for _, spins in blocks])
+    X, Y = np.meshgrid(np.linspace(0.0, x_max, nx), np.linspace(0.0, y_max, ny))
+    pair = (analytic_spin_guided(spec, (X, Y)) if kind == "guided"
+            else analytic_spin_surface(spec, X))
+    want = pair.combined() if combine else pair.total()
+    assert xs.tobytes() == X[0].tobytes() and ys.tobytes() == Y[:, 0].tobytes()
+    assert spins.shape == want.shape and spins.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind, combine, quantity", [
+    ("guided", False, "sy_peak"), ("guided", True, "sy_peak"),
+    ("surface", True, "sy_peak"), ("surface-extent", False, "x_max"),
+])
+def test_spin_map_checks_every_peak_before_it_evaluates(kind, combine, quantity, make_guided,
+                                                         make_surface, monkeypatch):
+    calls = []
+    for name in ("analytic_spin_guided", "analytic_spin_surface"):
+        monkeypatch.setattr(spin, name, lambda *args: calls.append(args))
+    x_max_kappa = 5.0
+    if kind == "guided":  # each field is in range, the s_y peak is not
+        spec = make_guided("TE", 1, 0, amplitude=1e100,
+                           geometry=WaveguideGeometry(3e100, 1.0, 1.0))
+    elif kind == "surface":
+        # s_e + s_m peaks at 3.18e-308, a normal float, and its half does not
+        spec = make_surface(amplitude=1e-100, omega=3e96)
+    else:
+        spec, x_max_kappa = make_surface(omega=1e-50), 1e300
+    with pytest.raises(ValueError, match=f"^{quantity} = .* leaves the float range"):
+        spin_map(spec, 3, 2, combine=combine, x_max_kappa=x_max_kappa)
+    assert calls == []
+
+
+def test_the_plain_map_of_a_subnormal_half_peak_is_normal(make_surface):
+    spec = make_surface(amplitude=1e-100, omega=3e96)
+    _, blocks = spin_map(spec, 2, 2)
+    (_, spins), = blocks
+    assert spins[:, 0, 1].tolist() == [3.1789647880819057e-308] * 2
 
 
 # ---------------------------------------------------------------------------
