@@ -65,6 +65,8 @@ CASES = [
     "report --family TE --m 1 --n 0 --length 1e-100 --amplitude 3e-100",
     "report --family TM --m 48 --n 48",
     "report --family TE --m 200 --n 3",
+    "report --family TM --m 1 --n 1 --normalize paper-figures",
+    "report --family TE --m 1 --n 0 --normalize paper-figures",
     f"spinmap --family TE --m 1 --n 0 --a 0.0229 --b 0.0102 --normalize paper-figures "
     f"--nx 41 --ny 21 {_MAP}",
     f"spinmap --family TM --m 2 --n 1 --nx 201 --ny 101 {_MAP}",
