@@ -31,7 +31,7 @@ from .observables import (GuidedObservables, SurfaceObservables,
                           amplitude_for_quanta, balance_integral,
                           ellipticity_surface, evaluate, integrate_guided,
                           integrate_surface, quantized_transverse_spin_guided,
-                          quantized_transverse_spin_surface)
+                          quantized_transverse_spin_surface, report)
 from .spin import (PotentialPhasor, SpinDensityPair, analytic_spin_guided,
                    analytic_spin_surface, energy_density, momentum_density,
                    spin_densities, spin_map, time_average_oracle,
@@ -60,7 +60,7 @@ __all__ = [
     "GuidedObservables", "SurfaceObservables", "integrate_guided",
     "integrate_surface", "amplitude_for_quanta", "quantized_transverse_spin_guided",
     "quantized_transverse_spin_surface", "ellipticity_surface",
-    "balance_integral", "evaluate",
+    "balance_integral", "evaluate", "report",
     "GuidedMassReport", "SurfaceMassReport", "FourMomentumSplit",
     "guided_mass_report", "surface_mass_report", "surface_rest_mass_density",
     "dispersion_residual",

@@ -8,8 +8,9 @@ Subcommands
     over the waveguide cross-section; surface waves over the decay/propagation
     plane (the second CSV column then holds ``z``, at constant ``y = 0``).
 ``report``
-    Integrate one mode and emit a JSON document with the volume observables,
-    effective-mass quantities, and quadrature-vs-closed-form residuals.
+    Emit the JSON document of one mode that :func:`transpin.observables.report`
+    builds: the volume observables, effective-mass quantities, and
+    quadrature-vs-closed-form residuals.
 ``verify``
     Run the named invariant catalogue from :mod:`transpin.verify` and print a
     pass/fail table.
@@ -19,10 +20,12 @@ matching command-line flag, and flags override the file.  Exit codes: 0
 success (also when the reader of standard output closes it early), 1
 configuration error, 2 I/O error, 3 verification failure.
 
-Spin-map rows are written in y-major order (x fastest), each as soon as it
-is formatted, and floats in Python's shortest round-trip representation, so
-output bytes are identical across runs; :func:`transpin.spin.spin_map` says
-how rows are sampled, and :func:`_map_rows` how they are formatted.
+This module parses the configuration, builds the mode spec, and formats and
+writes what the library returns.  Spin-map rows are written in y-major order
+(x fastest), each as soon as it is formatted, and floats in Python's shortest
+round-trip representation, so output bytes are identical across runs;
+:func:`transpin.spin.spin_map` says how rows are sampled, and
+:func:`_map_rows` how they are formatted.
 """
 
 from __future__ import annotations
@@ -34,17 +37,16 @@ import math
 import os
 import sys
 import weakref
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from typing import Any, Iterator, Mapping, Sequence, TextIO
 
 import numpy as np
 
 from .constants import NATURAL, SI, PhysicalConstants
-from .effective_mass import klein_gordon_stencil_residual
 from .errors import ConfigurationError
 from .modes import (GuidedModeSpec, ModeFamily, ModeIndex, SurfaceWaveSpec,
-                    WaveguideGeometry, _check_float_range, cutoff_frequency)
-from .observables import _check_quanta, amplitude_for_quanta, evaluate
+                    WaveguideGeometry, cutoff_frequency)
+from .observables import _check_quanta, amplitude_for_quanta, report
 from .spin import spin_map
 from .verify import run_checks
 
@@ -350,54 +352,9 @@ def cmd_spinmap(config: RunConfig) -> int:
 # report
 
 
-def _report(config: RunConfig, spec: GuidedModeSpec | SurfaceWaveSpec) -> dict[str, Any]:
-    """The report document: mode data per kind, the rest shared."""
-    obs, mass, gaps = evaluate(spec)
-    if config["kind"] == "guided":
-        spin = "S_perp"
-        report = {
-            "m": spec.index.m,
-            "n": spec.index.n,
-            "geometry": asdict(spec.geometry),
-            "omega_c": spec.omega_c,
-            "sin_two_theta": math.sin(2.0 * obs.theta),
-        }
-        residuals = {"klein_gordon": klein_gordon_stencil_residual(spec)}
-    else:
-        spin = "S_y"
-        report = {
-            "eta": spec.eta,
-            "phi_deg": math.degrees(spec.phi),
-            "kappa": spec.kappa,
-            "area": spec.area,
-            "tan_theta_prime": obs.ellipticity,
-        }
-        residuals = {}
-    observables = asdict(obs)
-    if config["combine-spins"]:
-        # the dual-symmetric (s_e + s_m)/2 halves these single-branch spins
-        # and their closed form alike, so the spin's relative gap stands
-        observables[spin] *= 0.5
-        _check_float_range(**{spin: observables[spin]})
-    residuals.update({key: gaps[key] for key in ("W", "P_z", spin, "dispersion")})
-    report.update({
-        "kind": config["kind"],
-        "family": config["family"],
-        "omega": spec.omega,
-        "k_z": float(spec.k_z.real),
-        "amplitude": spec.amplitude,
-        "combine_spins": config["combine-spins"],
-        "observables": observables,
-        "mass": asdict(mass),
-        f"{spin}_over_hbar": observables[spin] / spec.constants.hbar,
-        "residuals": residuals,
-    })
-    return report
-
-
 def cmd_report(config: RunConfig) -> int:
-    report = _report(config, config.build_spec())
-    text = json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    doc = report(config.build_spec(), combine=config["combine-spins"])
+    text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     with _open_output(config["output"]) as handle:
         _write_text(handle, text)
     return 0

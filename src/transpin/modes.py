@@ -407,11 +407,6 @@ def _stack3(*components) -> np.ndarray:
     return out
 
 
-def _guided_phase(spec: GuidedModeSpec, z, t) -> np.ndarray:
-    """``P = exp(-i*(omega*t - k_z*z))`` at the float arrays ``z`` and ``t``."""
-    return np.exp(-1j * (spec.omega * t - spec.k_z * z))
-
-
 def _guided_factors(spec: GuidedModeSpec, x, y):
     """The real factors of the guided phasor's components at ``x``, ``y``.
 
@@ -447,20 +442,6 @@ def _guided_factors(spec: GuidedModeSpec, x, y):
             (-kx * k_z * r * b0 * sx * cy,
              -ky * k_z * r * b0 * cx * sy,
              b0 * cx * cy))
-
-
-def _guided_components(spec: GuidedModeSpec, x, y, phase):
-    """The guided phasor's components ``(E, B)`` at ``x``, ``y`` times ``phase``.
-
-    ``E`` and ``B`` are each a tuple ``(X_x, X_y, X_z)`` of complex arrays,
-    the :func:`_guided_factors` times their units ``(i, i, 1)`` and
-    ``phase``, broadcast over ``x``, ``y`` and ``phase``.  The family's
-    structural zero is ``None``.  ``x`` and ``y`` are float arrays the
-    caller has checked, and ``phase`` is :func:`_guided_phase`.
-    """
-    return tuple(tuple(None if f is None else unit * f * phase
-                       for f, unit in zip(factors, (1j, 1j, 1.0)))
-                 for factors in _guided_factors(spec, x, y))
 
 
 def _require_finite(**values) -> None:
@@ -540,8 +521,11 @@ def guided_field_phasor(spec: GuidedModeSpec, point, t=0.0) -> FieldPhasor:
     if not ((y >= 0.0) & (y <= geom.b)).all():
         raise DomainError(f"y must lie in [0, {geom.b}]")
     _require_finite(z=z, t=t)
-    E, B = _guided_components(spec, x, y, _guided_phase(spec, z, t))
-    return FieldPhasor(E=_stack3(*E), B=_stack3(*B))
+    phase = np.exp(-1j * (spec.omega * t - spec.k_z * z))
+    E, B = (_stack3(*(None if f is None else unit * f * phase
+                      for f, unit in zip(factors, (1j, 1j, 1.0))))
+            for factors in _guided_factors(spec, x, y))
+    return FieldPhasor(E=E, B=B)
 
 
 def surface_field_phasor(spec: SurfaceWaveSpec, point, t=0.0) -> FieldPhasor:

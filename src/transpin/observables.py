@@ -35,12 +35,12 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .effective_mass import (dispersion_residual, guided_mass_report,
-                             surface_mass_report)
+                             klein_gordon_stencil_residual, surface_mass_report)
 from .errors import ResolutionError
 from .modes import (GuidedModeSpec, ModeFamily, SurfaceWaveSpec, _check_float_range,
                     _guided_factors, _require_propagating, _row_blocks, surface_field_phasor)
@@ -57,6 +57,7 @@ __all__ = [
     "ellipticity_surface",
     "balance_integral",
     "evaluate",
+    "report",
 ]
 
 #: quanta within this distance of an integer are reported as that integer
@@ -427,3 +428,58 @@ def evaluate(spec: GuidedModeSpec | SurfaceWaveSpec):
             "M_n_m": _rel(total, n * rest),
         })
     return obs, mass, gaps
+
+
+def report(spec: GuidedModeSpec | SurfaceWaveSpec, *, combine: bool = False) -> dict:
+    """The ``transpin report`` document of one mode, a dict of JSON values.
+
+    Holds the spec's mode data, the :func:`evaluate` totals and mass record,
+    the spin over ``hbar`` and the ``residuals``: the gaps ``W``, ``P_z``,
+    the spin and ``dispersion``, and for a guided mode the Klein-Gordon
+    stencil residual.  Under ``combine`` the spin is the dual-symmetric
+    ``(s_e + s_m)/2``, half the quadrature's, and a half that is not a finite
+    normal float raises ``ValueError`` naming the spin.
+    """
+    obs, mass, gaps = evaluate(spec)
+    if isinstance(spec, GuidedModeSpec):
+        spin = "S_perp"
+        doc = {
+            "kind": "guided",
+            "family": spec.index.family.value,
+            "m": spec.index.m,
+            "n": spec.index.n,
+            "geometry": asdict(spec.geometry),
+            "omega_c": spec.omega_c,
+            "sin_two_theta": math.sin(2.0 * obs.theta),
+        }
+        residuals = {"klein_gordon": klein_gordon_stencil_residual(spec)}
+    else:
+        spin = "S_y"
+        doc = {
+            "kind": "surface",
+            "family": spec.family.value,
+            "eta": spec.eta,
+            "phi_deg": math.degrees(spec.phi),
+            "kappa": spec.kappa,
+            "area": spec.area,
+            "tan_theta_prime": obs.ellipticity,
+        }
+        residuals = {}
+    totals = asdict(obs)
+    if combine:
+        # the dual-symmetric (s_e + s_m)/2 halves these single-branch spins
+        # and their closed form alike, so the spin's relative gap stands
+        totals[spin] *= 0.5
+        _check_float_range(**{spin: totals[spin]})
+    residuals.update({key: gaps[key] for key in ("W", "P_z", spin, "dispersion")})
+    doc.update({
+        "omega": spec.omega,
+        "k_z": float(spec.k_z.real),
+        "amplitude": spec.amplitude,
+        "combine_spins": combine,
+        "observables": totals,
+        "mass": asdict(mass),
+        f"{spin}_over_hbar": totals[spin] / spec.constants.hbar,
+        "residuals": residuals,
+    })
+    return doc

@@ -24,6 +24,7 @@ instantaneous fields (:func:`time_average_oracle`).
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 
@@ -247,12 +248,20 @@ def spin_map(spec: GuidedModeSpec | SurfaceWaveSpec, nx: int, ny: int, *,
     it, and ``spins`` of shape ``(ys.size, nx, 3)``, ``s_e + s_m`` or under
     ``combine`` ``(s_e + s_m)/2``: one :func:`analytic_spin_guided` call, or
     read-only views of a surface map's one depth profile, since the densities
-    do not depend on ``z``.  Every check runs before this returns:
-    ``ValueError`` names an extent (``x_max``, ``z_max``) or the peak of a
-    spin column returned (``sx_peak``, ``sy_peak``, ``mag_peak``) that is not
-    a finite normal float; a row numpy cannot allocate raises
-    ``MemoryError``, and an ``ny`` too large for a float ``OverflowError``.
+    do not depend on ``z``.  Every check runs before this returns, the
+    arguments' first: ``ValueError`` names ``nx`` or ``ny`` if it is not an
+    integer >= 2, ``x_max_kappa`` or ``z_periods`` if it is not finite and
+    > 0, and an extent (``x_max``, ``z_max``) or the peak of a spin column
+    returned (``sx_peak``, ``sy_peak``, ``mag_peak``) that is not a finite
+    normal float; a row numpy cannot allocate raises ``MemoryError``, and an
+    ``ny`` too large for a float ``OverflowError``.
     """
+    for name, count in (("nx", nx), ("ny", ny)):
+        if not (isinstance(count, numbers.Integral) and count >= 2):
+            raise ValueError(f"{name} must be an integer >= 2, got {count!r}")
+    for name, extent in (("x_max_kappa", x_max_kappa), ("z_periods", z_periods)):
+        if not 0.0 < extent < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {extent!r}")
     pick = SpinDensityPair.combined if combine else SpinDensityPair.total
     scale = 0.5 if combine else 1.0
     guided = isinstance(spec, GuidedModeSpec)

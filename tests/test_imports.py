@@ -1,5 +1,6 @@
-"""Every name a transpin module imports is used in that module, and every
-name its ``__all__`` lists is bound there."""
+"""Every name a transpin module imports is used in that module, every name
+its ``__all__`` lists is bound there, and a private name crosses from one
+module to another only as the committed table lists."""
 
 import ast
 from pathlib import Path
@@ -73,3 +74,42 @@ def test_an_unbound_export_is_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
 def test_every_export_is_bound(path):
     assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+#: every private name that one transpin module imports from another, as
+#: ``"importer <- module.name"``; a new entry has to be a deliberate edit here
+_PRIVATE_IMPORTS = [
+    "cli <- observables._check_quanta",
+    "effective_mass <- modes._require_propagating",
+    "observables <- modes._check_float_range",
+    "observables <- modes._guided_factors",
+    "observables <- modes._require_propagating",
+    "observables <- modes._row_blocks",
+    "spin <- modes._check_float_range",
+    "spin <- modes._row_blocks",
+    "verify <- observables._rel",
+]
+
+
+def private_imports(importer: str, source: str) -> list[str]:
+    """``"importer <- module.name"`` for each private name imported from a transpin module."""
+    entries = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level == 1 or (node.module or "").startswith("transpin.")):
+            module = (node.module or "").removeprefix("transpin.")
+            entries += [f"{importer} <- {module}.{alias.name}" for alias in node.names
+                        if alias.name.startswith("_")]
+    return entries
+
+
+def test_a_private_import_is_found():
+    source = ("from .modes import _a, b\nfrom transpin.spin import _c\n"
+              "from math import _d\ndef f():\n    from .verify import _e\n")
+    assert private_imports("x", source) == ["x <- modes._a", "x <- spin._c", "x <- verify._e"]
+
+
+def test_private_names_cross_modules_only_as_listed():
+    found = [entry for path in SOURCES
+             for entry in private_imports(path.stem, path.read_text(encoding="utf-8"))]
+    assert sorted(found) == _PRIVATE_IMPORTS

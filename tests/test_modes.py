@@ -25,8 +25,7 @@ from transpin import (DomainError, GuidedModeSpec, InvalidModeError,
                       guided_field_phasor, maxwell_residuals,
                       surface_field_phasor)
 from transpin.constants import NATURAL, SI
-from transpin.modes import (_fd_vector_derivatives, _guided_components,
-                            _guided_phase, _ratio, _stack3)
+from transpin.modes import _fd_vector_derivatives, _guided_factors, _ratio, _stack3
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +370,10 @@ def test_guided_phasor_stacks_the_kernel_components_bit_for_bit(bench_geometry):
         y = np.concatenate([[0.0, b], rng.uniform(0.0, b, 4)])[None, :, None]
         z, t = rng.uniform(-1.0, 1.0, (7, 1, 1)), rng.uniform(0.0, 1e-9, 3)
         field = guided_field_phasor(spec, (x, y, z), t)
-        E, B = _guided_components(spec, x, y, _guided_phase(spec, z, t))
+        phase = np.exp(-1j * (spec.omega * t - spec.k_z * z))
+        E, B = (tuple(None if f is None else unit * f * phase
+                      for f, unit in zip(factors, (1j, 1j, 1.0)))
+                for factors in _guided_factors(spec, x, y))
         assert (E[2] is None, B[2] is None) == (family is ModeFamily.TE,
                                                 family is ModeFamily.TM)
         for stacked, parts in ((field.E, E), (field.B, B)):

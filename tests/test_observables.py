@@ -3,6 +3,7 @@
 import inspect
 import json
 import math
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -13,12 +14,12 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from transpin import (GuidedModeSpec, ModeFamily, ModeIndex, ResolutionError,
-                      UnsupportedModeError, amplitude_for_quanta, balance_integral,
-                      cutoff_frequency, ellipticity_surface, energy_density,
-                      guided_field_phasor, guided_mass_report,
+                      UnsupportedModeError, WaveguideGeometry, amplitude_for_quanta,
+                      balance_integral, cutoff_frequency, ellipticity_surface,
+                      energy_density, guided_field_phasor, guided_mass_report,
                       integrate_guided, integrate_surface, modes, momentum_density,
                       observables, quantized_transverse_spin_guided,
-                      quantized_transverse_spin_surface, spin_densities,
+                      quantized_transverse_spin_surface, report, spin_densities,
                       surface_field_phasor)
 from transpin.cli import main
 from transpin.constants import NATURAL, SI
@@ -552,6 +553,48 @@ def test_surface_totals_subluminal(make_surface):
 
 
 # ---------------------------------------------------------------------------
+# the report document
+
+
+@pytest.mark.parametrize("combine", [False, True])
+@pytest.mark.parametrize("args, kind, quanta, mode", [
+    ("--family TM --m 1 --n 1", "guided", None, {"family": "TM", "m": 1, "n": 1}),
+    ("--family TE --m 2 --n 1 --direction -1", "guided", None,
+     {"family": "TE", "m": 2, "n": 1, "direction": -1}),
+    ("--family TE --m 3 --n 0", "guided", None, {"family": "TE", "m": 3, "n": 0}),
+    ("--units natural --family TM --m 1 --n 1 --n-quanta 1", "guided", 1,
+     {"family": "TM", "m": 1, "n": 1, "constants": NATURAL}),
+    ("--family TM --m 2 --n 1 --n-quanta 3", "guided", 3, {"family": "TM", "m": 2, "n": 1}),
+    ("--kind surface", "surface", None, {"family": "TE", "area": 1.0}),
+    ("--kind surface --family TM --n-quanta 2", "surface", 2, {"family": "TM", "area": 1.0}),
+], ids=["TM11", "TE21", "TE30", "natural", "n-quanta", "surface", "surface-n-quanta"])
+def test_report_is_the_document_the_cli_prints(args, kind, quanta, mode, combine, make_guided,
+                                               make_surface, unit_geometry, capsys):
+    spec = (make_guided(geometry=unit_geometry, **mode) if kind == "guided"
+            else make_surface(**mode))
+    if quanta is not None:
+        spec = replace(spec, amplitude=amplitude_for_quanta(quanta, spec))
+    doc = report(spec, combine=combine)
+    assert main(["report", *args.split(), *(["--combine-spins"] if combine else [])]) == 0
+    assert capsys.readouterr().out == json.dumps(doc, indent=2, sort_keys=True,
+                                                 allow_nan=False) + "\n"
+
+
+def test_report_names_a_spin_that_halves_below_the_float_range(make_guided, tmp_path, capsys):
+    # the plain S_perp is about 3.0e-308, a normal float; its half is not
+    spec = make_guided("TE", 1, 0, amplitude=3e-69,
+                       geometry=WaveguideGeometry(1.0, 1e-50, 1e-100))
+    assert report(spec)["observables"]["S_perp"] >= sys.float_info.min
+    with pytest.raises(ValueError, match=r"^S_perp = .* leaves the float range"):
+        report(spec, combine=True)
+    path = tmp_path / "report.json"
+    assert main(["report", "--length", "1e-100", "--b", "1e-50", "--amplitude", "3e-69",
+                 "--combine-spins", "--output", str(path)]) == 1
+    assert capsys.readouterr().err.startswith("config error: S_perp = ")
+    assert not path.exists()
+
+
+# ---------------------------------------------------------------------------
 # relative gaps
 
 
@@ -584,6 +627,7 @@ _SIGNATURES = {
     "ellipticity_surface": ("spec",),
     "balance_integral": ("spec", "b_amplitude_scale"),
     "evaluate": ("spec",),
+    "report": ("spec", "combine"),
 }
 
 

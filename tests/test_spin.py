@@ -239,6 +239,23 @@ def test_spin_map_checks_every_peak_before_it_evaluates(kind, combine, quantity,
     assert calls == []
 
 
+@pytest.mark.parametrize("kind, nx, ny, extents, name", [
+    ("guided", 2, 1, {}, "ny"), ("guided", 0, 3, {}, "nx"), ("guided", 1, 2, {}, "nx"),
+    ("guided", 3, 0, {}, "ny"), ("surface", 2, 2, {"z_periods": -1.0}, "z_periods"),
+    ("surface", 2, 2, {"x_max_kappa": -5.0}, "x_max_kappa"),
+])
+def test_spin_map_names_a_bad_argument_before_it_evaluates(kind, nx, ny, extents, name,
+                                                           make_guided, make_surface,
+                                                           monkeypatch):
+    calls = []
+    for function in ("analytic_spin_guided", "analytic_spin_surface"):
+        monkeypatch.setattr(spin, function, lambda *args: calls.append(args))
+    spec = make_guided("TE", 1, 0) if kind == "guided" else make_surface()
+    with pytest.raises(ValueError, match=f"^{name} must be "):
+        spin_map(spec, nx, ny, **extents)
+    assert calls == []
+
+
 def test_the_plain_map_of_a_subnormal_half_peak_is_normal(make_surface):
     spec = make_surface(amplitude=1e-100, omega=3e96)
     _, blocks = spin_map(spec, 2, 2)
