@@ -32,9 +32,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import os
+import shutil
 import sys
 import weakref
 from dataclasses import dataclass, replace
@@ -402,10 +404,12 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
 class _HelpFormatter(argparse.HelpFormatter):
     """argparse's formatter, freed as soon as it is dropped.
 
-    argparse's root section refers back to its formatter, so every formatter
-    would wait for the cyclic collector, and building the parser makes one
-    per flag (``add_argument`` checks the metavar with it).  The root
-    section holds the formatter weakly here.
+    Building the parser makes one formatter per flag (``add_argument``
+    checks the metavar with it).  argparse's root section refers back to
+    its formatter, so every one would wait for the cyclic collector; the
+    root section holds the formatter weakly here.  Each one would also
+    query the terminal for its width, so :func:`_build_parser` passes the
+    width it measured once.
     """
 
     def __init__(self, prog: str, **kwargs: Any) -> None:
@@ -421,22 +425,26 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    # argparse builds a formatter per flag, and each would query the terminal;
+    # columns - 2 is the width HelpFormatter computes when given none
+    formatter = functools.partial(_HelpFormatter,
+                                  width=shutil.get_terminal_size().columns - 2)
     parser = _Parser(
-        prog="transpin", formatter_class=_HelpFormatter,
+        prog="transpin", formatter_class=formatter,
         description="Transverse spin, momentum and effective-mass observables "
                     "of guided and evanescent electromagnetic modes.")
     # a given prog spares add_subparsers the usage formatter it would keep
     sub = parser.add_subparsers(dest="command", required=True, prog="transpin")
     spinmap = sub.add_parser(
-        "spinmap", formatter_class=_HelpFormatter,
+        "spinmap", formatter_class=formatter,
         help="export a CSV grid of the time-averaged spin density")
     _add_config_flags(spinmap)
     report = sub.add_parser(
-        "report", formatter_class=_HelpFormatter,
+        "report", formatter_class=formatter,
         help="emit a JSON report of integrated observables")
     _add_config_flags(report)
     verify = sub.add_parser(
-        "verify", formatter_class=_HelpFormatter,
+        "verify", formatter_class=formatter,
         help="run the named invariant catalogue")
     verify.add_argument("--filter", default=None,
                         help="run only checks whose name contains this substring")

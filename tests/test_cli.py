@@ -1048,6 +1048,27 @@ def test_subcommand_help_names_its_program(command, capsys):
     assert "show this help message and exit" in out
 
 
+@pytest.mark.parametrize("args", [
+    ["report", "--family", "TM", "--m", "1", "--n", "1"],
+    ["spinmap", "--nx", "3", "--ny", "2"],
+    ["verify", "--filter", "zzz-none"],
+    ["report", "--kind", "foo"],
+    ["report", "--help"],
+])
+def test_main_queries_the_terminal_once(args, monkeypatch, capsys):
+    # argparse makes a formatter per flag, and one given no width queries the
+    # terminal; main measures it once per call and fixes that width
+    import shutil
+
+    calls = []
+    query = shutil.get_terminal_size
+    monkeypatch.setattr(shutil, "get_terminal_size",
+                        lambda *a, **k: calls.append(a) or query(*a, **k))
+    with contextlib.suppress(SystemExit):
+        main(args)
+    assert len(calls) == 1
+
+
 # ---------------------------------------------------------------------------
 # runtime dependencies
 
