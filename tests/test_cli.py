@@ -6,6 +6,7 @@ import gc
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -1058,8 +1059,6 @@ def test_subcommand_help_names_its_program(command, capsys):
 def test_main_queries_the_terminal_once(args, monkeypatch, capsys):
     # argparse makes a formatter per flag, and one given no width queries the
     # terminal; main measures it once per call and fixes that width
-    import shutil
-
     calls = []
     query = shutil.get_terminal_size
     monkeypatch.setattr(shutil, "get_terminal_size",
